@@ -31,11 +31,9 @@ from .comb import (
 from .invariants import (
     alexander_polynomial,
     determinant_of_closure,
+    obstructions,
     quasipositivity_verdict,
     reduced_burau,
-    test_alex,
-    test_double_alex,
-    test_square,
 )
 from .laurent import (
     LaurentPoly,

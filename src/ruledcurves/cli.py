@@ -57,7 +57,7 @@ def _cmd_braid(args) -> int:
 def _cmd_invariants(args) -> int:
     b = braids.parse_braid(args.braid)
     alex = invs.alexander_polynomial(b)
-    det = abs(int(alex.eval_at(-1)))
+    det = invs._determinant(alex)
     payload = {
         "strands": b.strands,
         "exponent_sum": braids.exponent_sum(b),
@@ -175,8 +175,7 @@ def _parse_expectation(expectation: str) -> list[tuple[str, str]]:
 
 
 def _fired_tests(b: braids.BraidWord) -> set[str]:
-    return {o.test for o in (invs.test_alex(b), invs.test_double_alex(b),
-                             invs.test_square(b)) if o}
+    return {o.test for o in invs.obstructions(b)}
 
 
 def _check_braid(b: braids.BraidWord, key: str, value: str) -> tuple[bool, str]:

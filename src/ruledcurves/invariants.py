@@ -9,6 +9,7 @@ certificate provided is triviality at exponent sum zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,22 +140,22 @@ def alexander_polynomial(b: BraidWord) -> LaurentPoly:
     return quotient.normalized_unit()
 
 
-def determinant_of_closure(b: BraidWord) -> int:
-    """|Delta(-1)| for the closure's Alexander polynomial Delta."""
-    value = alexander_polynomial(b).eval_at(-1)
-    assert value.denominator == 1
+def _determinant(p: LaurentPoly) -> int:
+    """|p(-1)|: the determinant of the closure when p is its Alexander
+    polynomial."""
+    value = p.eval_at(-1)
+    if value.denominator != 1:
+        raise ConventionError(f"Delta(-1) = {value} is not an integer")
     return abs(int(value))
 
 
+def determinant_of_closure(b: BraidWord) -> int:
+    """|Delta(-1)| for the closure's Alexander polynomial Delta."""
+    return _determinant(alexander_polynomial(b))
+
+
 def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 @dataclass(frozen=True)
@@ -175,41 +176,30 @@ class Obstruction:
         }
 
 
-def test_alex(b: BraidWord) -> Obstruction | None:
-    """Fires when e(b) < m-1 and the Alexander polynomial is nonzero;
-    quasipositive braids with small exponent sum have vanishing Alexander
-    polynomial."""
-    e = exponent_sum(b)
-    if e >= b.strands - 1:
-        return None
+def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
+    """The obstruction tests that fire on b, in the order alex,
+    double_alex, square, each applicable at one exponent sum:
+    - alex, e(b) < m-1: the Alexander polynomial is nonzero
+      (quasipositive braids with small exponent sum have vanishing
+      Alexander polynomial);
+    - double_alex, e(b) = m-1: the Alexander polynomial has a simple root
+      on the unit circle (for quasipositive braids at this exponent sum
+      every unit-circle root has order at least two);
+    - square, e(b) = m-1: |Delta(-1)| is not a perfect square.
+    The Alexander polynomial is computed at most once."""
+    m, e = b.strands, exponent_sum(b)
+    if e > m - 1:
+        return ()
     p = alexander_polynomial(b)
-    if p.is_zero():
-        return None
-    return Obstruction("alex", b.strands, e, format_poly(p))
-
-
-def test_double_alex(b: BraidWord) -> Obstruction | None:
-    """Fires when e(b) = m-1 and the Alexander polynomial has a simple
-    root on the unit circle; for quasipositive braids at this exponent
-    sum every unit-circle root has order at least two."""
-    e = exponent_sum(b)
-    if e != b.strands - 1:
-        return None
-    p = alexander_polynomial(b)
-    if p.is_zero() or not has_simple_unit_circle_root(p):
-        return None
-    return Obstruction("double_alex", b.strands, e, format_poly(p))
-
-
-def test_square(b: BraidWord) -> Obstruction | None:
-    """Fires when e(b) = m-1 and |Delta(-1)| is not a perfect square."""
-    e = exponent_sum(b)
-    if e != b.strands - 1:
-        return None
-    det = determinant_of_closure(b)
-    if _is_perfect_square(det):
-        return None
-    return Obstruction("square", b.strands, e, str(det))
+    if e < m - 1:
+        return () if p.is_zero() else (Obstruction("alex", m, e, format_poly(p)),)
+    fired = []
+    if not p.is_zero() and has_simple_unit_circle_root(p):
+        fired.append(Obstruction("double_alex", m, e, format_poly(p)))
+    det = _determinant(p)
+    if not _is_perfect_square(det):
+        fired.append(Obstruction("square", m, e, str(det)))
+    return tuple(fired)
 
 
 @dataclass(frozen=True)
@@ -254,7 +244,7 @@ def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:
             "not_quasipositive", m, e,
             (Obstruction("negative_exponent", m, e, str(e)),),
             note="quasipositive braids have e >= 0")
-    fired = tuple(o for o in (test_alex(b), test_double_alex(b), test_square(b)) if o)
+    fired = obstructions(b)
     if fired:
         return QuasipositivityVerdict("not_quasipositive", m, e, fired)
     note = "" if e != 1 else "e = 1 noted; obstruction suite is sound but incomplete"
@@ -278,9 +268,7 @@ __all__ = [
     "burau_determinant_check",
     "mat_mul",
     "determinant_of_closure",
+    "obstructions",
     "quasipositivity_verdict",
     "reduced_burau",
-    "test_alex",
-    "test_double_alex",
-    "test_square",
 ]

@@ -214,7 +214,9 @@ def to_braid(ls: LScheme) -> BraidWord:
 
 
 # -- elementary rewriting moves -----------------------------------------
-# Each rule maps a left pattern at a position to its replacement. The
+# One table per family: rule -> (pattern length, move). A move takes the
+# strand count m and the window of events at the position and returns
+# the replacement, or None when the pattern does not match. The
 # pseudoholomorphic moves preserve realizability one way; the caller
 # chooses rule and position explicitly.
 
@@ -227,133 +229,105 @@ def _u_kinds(ev: Event) -> bool:
     return ev.kind in ("x", "<", ">")
 
 
-def _match_pseudo(rule: str, ev: list[Event], i: int, m: int) -> list[Event] | None:
-    def at(off: int) -> Event | None:
-        return ev[i + off] if i + off < len(ev) else None
-
-    a, b, c = at(0), at(1), at(2)
-    if rule == "cross-tangency":  # x_j >_{j±1} -> x_{j±1} >_j
-        if a and b and a.kind == "x" and b.kind == ">" and _is_adjacent(a.index, b.index):
-            return [Event("x", b.index), Event(">", a.index)]
-    elif rule == "tangency-cross":  # <_{j±1} x_j -> <_j x_{j±1}
-        if a and b and a.kind == "<" and b.kind == "x" and _is_adjacent(a.index, b.index):
-            return [Event("<", b.index), Event("x", a.index)]
-    elif rule == "cross-commute":  # x_j u_k -> u_k x_j, |k-j| > 1
-        if a and b and a.kind == "x" and _u_kinds(b) and abs(a.index - b.index) > 1:
-            return [b, a]
-    elif rule == "back-descend":  # \ >_{m-1} -> / >_1
-        if a and b and a.kind == "\\" and b == Event(">", m - 1):
-            return [Event("/", 0), Event(">", 1)]
-    elif rule == "back-descend-rev":
-        if a and b and a.kind == "/" and b == Event(">", 1):
-            return [Event("\\", 0), Event(">", m - 1)]
-    elif rule == "ascend-slash":  # <_{m-1} / -> <_1 \
-        if a and b and a == Event("<", m - 1) and b.kind == "/":
-            return [Event("<", 1), Event("\\", 0)]
-    elif rule == "ascend-slash-rev":
-        if a and b and a == Event("<", 1) and b.kind == "\\":
-            return [Event("<", m - 1), Event("/", 0)]
-    elif rule == "back-commute":  # \ u_k -> u_k \
-        if a and b and a.kind == "\\" and _u_kinds(b):
-            return [b, a]
-    elif rule == "back-commute-rev":
-        if a and b and _u_kinds(a) and b.kind == "\\":
-            return [b, a]
-    elif rule == "slash-commute":  # / u_k -> u_k /
-        if a and b and a.kind == "/" and _u_kinds(b):
-            return [b, a]
-    elif rule == "slash-commute-rev":
-        if a and b and _u_kinds(a) and b.kind == "/":
-            return [b, a]
-    elif rule == "oval-slide":  # o_k <_k >_{k-1} -> <_k x_{k-1} >_k
-        if (a and b and c and a.kind == "o" and b == Event("<", a.index)
-                and c == Event(">", a.index - 1)):
-            return [Event("<", a.index), Event("x", a.index - 1), Event(">", a.index)]
-    elif rule == "oval-slide-rev":
-        if (a and b and c and a.kind == "<" and b == Event("x", a.index - 1)
-                and c == Event(">", a.index)):
-            return [Event("o", a.index), Event("<", a.index), Event(">", a.index - 1)]
-    elif rule == "oval-shift":  # <_k x_{k-1} >_k -> <_{k-1} >_k o_k
-        if (a and b and c and a.kind == "<" and b == Event("x", a.index - 1)
-                and c == Event(">", a.index)):
-            return [Event("<", a.index - 1), Event(">", a.index), Event("o", a.index)]
-    elif rule == "oval-shift-rev":
-        if (a and b and c and a.kind == "<" and b == Event(">", a.index + 1)
-                and c == Event("o", a.index + 1)):
-            k = a.index + 1
-            return [Event("<", k), Event("x", k - 1), Event(">", k)]
-    elif rule == "cancel-pair":  # <_j >_{j±1} -> (empty)
-        if a and b and a.kind == "<" and b.kind == ">" and _is_adjacent(a.index, b.index):
-            return []
-    elif rule == "pair-commute":  # <_j >_k -> >_k <_j, |k-j| > 1
-        if a and b and a.kind == "<" and b.kind == ">" and abs(a.index - b.index) > 1:
-            return [b, a]
-    elif rule == "drop-oval":  # o_j -> (empty)
-        if a and a.kind == "o":
-            return []
-    else:
-        raise LSchemeError(f"unknown pseudoholomorphic rule {rule!r}")
-    return None
-
-
-PSEUDO_RULES = (
-    "cross-tangency", "tangency-cross", "cross-commute",
-    "back-descend", "back-descend-rev", "ascend-slash", "ascend-slash-rev",
-    "back-commute", "back-commute-rev", "slash-commute", "slash-commute-rev",
-    "oval-slide", "oval-slide-rev", "oval-shift", "oval-shift-rev",
-    "cancel-pair", "pair-commute", "drop-oval",
-)
-
-_PATTERN_LENGTH = {
-    "oval-slide": 3, "oval-slide-rev": 3, "oval-shift": 3, "oval-shift-rev": 3,
-    "drop-oval": 1,
+_PSEUDO_MOVES = {
+    # x_j >_{j±1} -> x_{j±1} >_j
+    "cross-tangency": (2, lambda m, a, b: [Event("x", b.index), Event(">", a.index)]
+                       if a.kind == "x" and b.kind == ">" and _is_adjacent(a.index, b.index)
+                       else None),
+    # <_{j±1} x_j -> <_j x_{j±1}
+    "tangency-cross": (2, lambda m, a, b: [Event("<", b.index), Event("x", a.index)]
+                       if a.kind == "<" and b.kind == "x" and _is_adjacent(a.index, b.index)
+                       else None),
+    # x_j u_k -> u_k x_j, |k-j| > 1
+    "cross-commute": (2, lambda m, a, b: [b, a]
+                      if a.kind == "x" and _u_kinds(b) and abs(a.index - b.index) > 1
+                      else None),
+    # \ >_{m-1} -> / >_1
+    "back-descend": (2, lambda m, a, b: [Event("/", 0), Event(">", 1)]
+                     if a.kind == "\\" and b == Event(">", m - 1) else None),
+    "back-descend-rev": (2, lambda m, a, b: [Event("\\", 0), Event(">", m - 1)]
+                         if a.kind == "/" and b == Event(">", 1) else None),
+    # <_{m-1} / -> <_1 \
+    "ascend-slash": (2, lambda m, a, b: [Event("<", 1), Event("\\", 0)]
+                     if a == Event("<", m - 1) and b.kind == "/" else None),
+    "ascend-slash-rev": (2, lambda m, a, b: [Event("<", m - 1), Event("/", 0)]
+                         if a == Event("<", 1) and b.kind == "\\" else None),
+    # \ u_k -> u_k \
+    "back-commute": (2, lambda m, a, b: [b, a]
+                     if a.kind == "\\" and _u_kinds(b) else None),
+    "back-commute-rev": (2, lambda m, a, b: [b, a]
+                         if _u_kinds(a) and b.kind == "\\" else None),
+    # / u_k -> u_k /
+    "slash-commute": (2, lambda m, a, b: [b, a]
+                      if a.kind == "/" and _u_kinds(b) else None),
+    "slash-commute-rev": (2, lambda m, a, b: [b, a]
+                          if _u_kinds(a) and b.kind == "/" else None),
+    # o_k <_k >_{k-1} -> <_k x_{k-1} >_k
+    "oval-slide": (3, lambda m, a, b, c: [Event("<", a.index), Event("x", a.index - 1),
+                                          Event(">", a.index)]
+                   if a.kind == "o" and b == Event("<", a.index)
+                   and c == Event(">", a.index - 1) else None),
+    "oval-slide-rev": (3, lambda m, a, b, c: [Event("o", a.index), Event("<", a.index),
+                                              Event(">", a.index - 1)]
+                       if a.kind == "<" and b == Event("x", a.index - 1)
+                       and c == Event(">", a.index) else None),
+    # <_k x_{k-1} >_k -> <_{k-1} >_k o_k
+    "oval-shift": (3, lambda m, a, b, c: [Event("<", a.index - 1), Event(">", a.index),
+                                          Event("o", a.index)]
+                   if a.kind == "<" and b == Event("x", a.index - 1)
+                   and c == Event(">", a.index) else None),
+    "oval-shift-rev": (3, lambda m, a, b, c: [Event("<", a.index + 1), Event("x", a.index),
+                                              Event(">", a.index + 1)]
+                       if a.kind == "<" and b == Event(">", a.index + 1)
+                       and c == Event("o", a.index + 1) else None),
+    # <_j >_{j±1} -> (empty)
+    "cancel-pair": (2, lambda m, a, b: []
+                    if a.kind == "<" and b.kind == ">" and _is_adjacent(a.index, b.index)
+                    else None),
+    # <_j >_k -> >_k <_j, |k-j| > 1
+    "pair-commute": (2, lambda m, a, b: [b, a]
+                     if a.kind == "<" and b.kind == ">" and abs(a.index - b.index) > 1
+                     else None),
+    # o_j -> (empty)
+    "drop-oval": (1, lambda m, a: [] if a.kind == "o" else None),
 }
 
-ALG_RULES = ("descend-zigzag", "ascend-zigzag")
+_ALG_MOVES = {
+    # >_j <_{j±1} >_j -> >_j
+    "descend-zigzag": (3, lambda m, a, b, c: [a]
+                       if a.kind == ">" and b.kind == "<" and c == a
+                       and _is_adjacent(a.index, b.index) else None),
+    # <_j >_{j±1} <_j -> <_j
+    "ascend-zigzag": (3, lambda m, a, b, c: [a]
+                      if a.kind == "<" and b.kind == ">" and c == a
+                      and _is_adjacent(a.index, b.index) else None),
+}
+
+PSEUDO_RULES = tuple(_PSEUDO_MOVES)
+ALG_RULES = tuple(_ALG_MOVES)
 
 
-def _match_alg(rule: str, ev: list[Event], i: int) -> list[Event] | None:
-    def at(off: int) -> Event | None:
-        return ev[i + off] if i + off < len(ev) else None
-
-    a, b, c = at(0), at(1), at(2)
-    if rule == "descend-zigzag":  # >_j <_{j±1} >_j -> >_j
-        if (a and b and c and a.kind == ">" and b.kind == "<" and c == a
-                and _is_adjacent(a.index, b.index)):
-            return [a]
-    elif rule == "ascend-zigzag":  # <_j >_{j±1} <_j -> <_j
-        if (a and b and c and a.kind == "<" and b.kind == ">" and c == a
-                and _is_adjacent(a.index, b.index)):
-            return [a]
-    else:
-        raise LSchemeError(f"unknown algebraic rule {rule!r}")
-    return None
-
-
-def _apply(ls: LScheme, i: int, matched_len: int, replacement: list[Event]) -> LScheme:
-    events = list(ls.events)
-    events[i:i + matched_len] = replacement
-    return LScheme(ls.surface_index, ls.strands, tuple(events))
+def _rewrite(moves: dict, family: str, ls: LScheme, rule: str, position: int) -> LScheme:
+    events = ls.events
+    if not 0 <= position < max(len(events), 1):
+        raise LSchemeError(f"position {position} out of range")
+    if rule not in moves:
+        raise LSchemeError(f"unknown {family} rule {rule!r}")
+    length, move = moves[rule]
+    window = events[position:position + length]
+    replacement = move(ls.strands, *window) if len(window) == length else None
+    if replacement is None:
+        raise LSchemeError(f"rule {rule!r} does not match at position {position}")
+    return LScheme(ls.surface_index, ls.strands,
+                   events[:position] + tuple(replacement) + events[position + length:])
 
 
 def rewrite_pseudo(ls: LScheme, rule: str, position: int) -> LScheme:
-    ev = list(ls.events)
-    if not 0 <= position < max(len(ev), 1):
-        raise LSchemeError(f"position {position} out of range")
-    replacement = _match_pseudo(rule, ev, position, ls.strands)
-    if replacement is None:
-        raise LSchemeError(f"rule {rule!r} does not match at position {position}")
-    return _apply(ls, position, _PATTERN_LENGTH.get(rule, 2), replacement)
+    return _rewrite(_PSEUDO_MOVES, "pseudoholomorphic", ls, rule, position)
 
 
 def rewrite_alg(ls: LScheme, rule: str, position: int) -> LScheme:
-    ev = list(ls.events)
-    if not 0 <= position < max(len(ev), 1):
-        raise LSchemeError(f"position {position} out of range")
-    replacement = _match_alg(rule, ev, position)
-    if replacement is None:
-        raise LSchemeError(f"rule {rule!r} does not match at position {position}")
-    return _apply(ls, position, 3, replacement)
+    return _rewrite(_ALG_MOVES, "algebraic", ls, rule, position)
 
 
 # -- trigonal encodings: root schemes and weighted combs ----------------
@@ -393,35 +367,43 @@ def _first_block_reduced(n: int, r: list[Event]) -> bool:
     return _is_adjacent(last.index, first.index)
 
 
+# Consecutive tangencies (previous kind, current kind, same index) ->
+# (root-scheme block, comb letters, (alpha, beta, gamma) debits). The
+# mixed-index blocks follow the calibration pinned by the worked
+# three-strand example: the descent-after-ascent pair carries the (q,2)
+# block, the ascent-after-descent pair the (p,3),(q,2),(p,3) block.
+_PAIR_BLOCKS = {
+    (">", "<", True): ((("r", 1),), (2,), (1, 0, 0)),
+    ("<", ">", True): ((("r", 1),), (3,), (1, 0, 0)),
+    ("<", ">", False): ((("q", 2), ("r", 1)), (5,), (1, 1, 0)),
+    (">", "<", False): ((("p", 3), ("q", 2), ("p", 3), ("r", 1)), (6, 1, 4, 1, 6), (1, 1, 2)),
+}
+
+
+def _pair_blocks(n: int, r: list[Event]):
+    """The blocks of the tangency encoding r: first the wrap-around pair
+    (r_q, r_1), read as an ascent followed by a descent, then each
+    consecutive pair."""
+    yield _PAIR_BLOCKS["<", ">", _first_block_reduced(n, r)]
+    for prev, cur in zip(r, r[1:]):
+        key = (prev.kind, cur.kind, prev.index == cur.index)
+        if key not in _PAIR_BLOCKS or abs(prev.index - cur.index) > 1:
+            raise LSchemeError(
+                f"tangency encoding is not alternating near {prev.token()} {cur.token()}")
+        yield _PAIR_BLOCKS[key]
+
+
 RootScheme = tuple[tuple[str, int], ...]
 
 
 def root_scheme(ls: LScheme) -> RootScheme:
     """Interleaving pattern of the real roots of the three auxiliary
     polynomials (p: multiplicity 3, q: 2, r: 1) read off the tangency
-    encoding. Mixed-index case blocks follow the calibration pinned by
-    the worked three-strand example (the descent-after-ascent pair
-    carries the (q,2) block; the ascent-after-descent pair carries the
-    (p,3),(q,2),(p,3) block)."""
+    encoding, one block per pair of consecutive tangencies."""
     r = _r_encoding(ls)
     if not r:
         return ()
-    out: list[tuple[str, int]] = []
-    out.extend([("r", 1)] if _first_block_reduced(ls.surface_index, r)
-               else [("q", 2), ("r", 1)])
-    for prev, cur in zip(r, r[1:]):
-        if cur.kind == "<" and prev.kind == ">" and cur.index == prev.index:
-            out.append(("r", 1))
-        elif cur.kind == ">" and prev.kind == "<" and cur.index == prev.index:
-            out.append(("r", 1))
-        elif cur.kind == ">" and prev.kind == "<" and _is_adjacent(cur.index, prev.index):
-            out.extend([("q", 2), ("r", 1)])
-        elif cur.kind == "<" and prev.kind == ">" and _is_adjacent(cur.index, prev.index):
-            out.extend([("p", 3), ("q", 2), ("p", 3), ("r", 1)])
-        else:
-            raise LSchemeError(
-                f"tangency encoding is not alternating near {prev.token()} {cur.token()}")
-    return tuple(out)
+    return tuple(x for block, _, _ in _pair_blocks(ls.surface_index, r) for x in block)
 
 
 def render_root_scheme(rs: RootScheme) -> str:
@@ -436,38 +418,17 @@ def weighted_comb(ls: LScheme):
     from .comb import WeightedComb
 
     n = ls.surface_index
+    alpha, beta, gamma = 6 * n, 3 * n, 2 * n
     r = _r_encoding(ls)
     if not r:
-        return WeightedComb((), 6 * n, 3 * n, 2 * n)
+        return WeightedComb((), alpha, beta, gamma)
     word: list[int] = []
-    alpha, beta, gamma = 6 * n, 3 * n, 2 * n
-    if _first_block_reduced(n, r):
-        word.append(3)
-        alpha -= 1
-    else:
-        word.append(5)
-        alpha -= 1
-        beta -= 1
-    for prev, cur in zip(r, r[1:]):
-        if cur.kind == "<" and prev.kind == ">" and cur.index == prev.index:
-            word.append(2)
-            alpha -= 1
-        elif cur.kind == ">" and prev.kind == "<" and cur.index == prev.index:
-            word.append(3)
-            alpha -= 1
-        elif cur.kind == ">" and prev.kind == "<" and _is_adjacent(cur.index, prev.index):
-            word.append(5)
-            alpha -= 1
-            beta -= 1
-        elif cur.kind == "<" and prev.kind == ">" and _is_adjacent(cur.index, prev.index):
-            word.extend((6, 1, 4, 1, 6))
-            alpha -= 1
-            beta -= 1
-            gamma -= 2
-        else:
-            raise LSchemeError(
-                f"tangency encoding is not alternating near {prev.token()} {cur.token()}")
-        if alpha < 0 or beta < 0 or gamma < 0:
+    for i, (_, letters, (da, db, dg)) in enumerate(_pair_blocks(n, r)):
+        word.extend(letters)
+        alpha, beta, gamma = alpha - da, beta - db, gamma - dg
+        # checked after each consecutive pair only; weights never grow and a
+        # pair always follows the wrap-around block, so no deficit is missed
+        if i and (alpha < 0 or beta < 0 or gamma < 0):
             raise LSchemeError(
                 f"comb weights go negative ({alpha},{beta},{gamma}): "
                 f"the scheme is not realizable on this surface index")

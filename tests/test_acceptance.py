@@ -32,12 +32,17 @@ from ruledcurves.invariants import (
     alexander_polynomial,
     determinant_of_closure,
     mat_mul,
+    obstructions,
     reduced_burau,
-    test_square as square_obstruction,
 )
 from ruledcurves.laurent import LaurentPoly, format_poly, parse_poly
 from ruledcurves.lscheme import parse_scheme, render_root_scheme, root_scheme, to_braid
 from ruledcurves.schemes7 import enumerate_schemes, parse_real_scheme, realizable
+
+
+def obstruction(b, test):
+    """The obstruction of that name which fires on b, or None."""
+    return next((o for o in obstructions(b) if o.test == test), None)
 
 
 def _report(criterion: str, failures: list[str], elapsed: float, budget: float):
@@ -215,7 +220,7 @@ def test_criterion_3_determinants():
         got = determinant_of_closure(b)
         if got != expected:
             failures.append(f"{name}: determinant {got} != {expected}")
-        if must_fire and square_obstruction(b) is None:
+        if must_fire and obstruction(b, "square") is None:
             failures.append(f"{name}: perfect-square obstruction did not fire")
     _report("criterion 3 (determinants)", failures, time.perf_counter() - start, 2.0)
 

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 from ruledcurves import cli
 from ruledcurves.invariants import ConventionError
+from ruledcurves.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -94,6 +96,13 @@ def test_convention_error_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "convention" in err
 
+
+def test_non_integer_determinant_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli.invs, "alexander_polynomial",
+                        lambda _b: LaurentPoly({0: Fraction(1, 2)}))
+    code, _, err = run(capsys, "invariants", "strands=2; s1")
+    assert code == 3
+    assert "convention" in err
 
 def test_repro_all_pass(capsys):
     code, out, _ = run(capsys, "repro")

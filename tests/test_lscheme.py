@@ -5,6 +5,8 @@ import pytest
 from ruledcurves.braid import exponent_sum, parse_braid
 from ruledcurves.comb import WeightedComb, render_weighted_comb
 from ruledcurves.lscheme import (
+    ALG_RULES,
+    PSEUDO_RULES,
     Event,
     LScheme,
     LSchemeError,
@@ -175,16 +177,66 @@ def test_rewrite_event_counts():
         ("n=0 m=4; \\ x1", "back-commute", 0),
         ("n=0 m=4; / x1", "slash-commute", 0),
         ("n=0 m=3; >2 o2 <2 >1 <1", "oval-slide", 1),
-        ("n=0 m=3; <2 >1", "pair-commute", None),
+        ("n=0 m=4; <1 >3", "pair-commute", 0),
     ]
     for text, rule, pos in cases:
-        if pos is None:
-            continue
         ls = parse_scheme(text)
         assert len(rewrite_pseudo(ls, rule, pos).events) == len(ls.events)
     # the two deleting moves drop a fixed number of events
     assert len(rewrite_pseudo(parse_scheme("n=0 m=3; <1 >2"), "cancel-pair", 0).events) == 0
     assert len(rewrite_pseudo(parse_scheme("n=0 m=3; o1"), "drop-oval", 0).events) == 0
+
+
+# One row per rule: (family, rule, scheme, position, events after the
+# move, a scheme whose window at that position does not match). The
+# expected events are read off the pattern comment of each rule.
+MOVES = [
+    ("pseudo", "cross-tangency", "n=0 m=3; x1 >2", 0, "x2 >1", "n=0 m=4; x1 >3"),
+    ("pseudo", "tangency-cross", "n=0 m=3; >1 <2 x1", 1, ">1 <1 x2", "n=0 m=4; >1 <3 x1"),
+    ("pseudo", "cross-commute", "n=0 m=4; x1 >3", 0, ">3 x1", "n=0 m=4; x1 >2"),
+    ("pseudo", "back-descend", "n=0 m=4; \\ >3", 0, "/ >1", "n=0 m=4; \\ >2"),
+    ("pseudo", "back-descend-rev", "n=0 m=4; / >1", 0, "\\ >3", "n=0 m=4; / >2"),
+    ("pseudo", "ascend-slash", "n=0 m=4; <3 / >1 <1", 0, "<1 \\ >1 <1", "n=0 m=4; <2 / >1 <1"),
+    ("pseudo", "ascend-slash-rev", "n=0 m=4; <1 \\ >1 <1", 0, "<3 / >1 <1",
+     "n=0 m=4; <1 / >1 <1"),
+    ("pseudo", "back-commute", "n=0 m=4; \\ x1", 0, "x1 \\", "n=0 m=4; \\ /"),
+    ("pseudo", "back-commute-rev", "n=0 m=4; x1 \\", 0, "\\ x1", "n=0 m=4; x1 /"),
+    ("pseudo", "slash-commute", "n=0 m=4; / x1", 0, "x1 /", "n=0 m=4; / \\"),
+    ("pseudo", "slash-commute-rev", "n=0 m=4; x1 /", 0, "/ x1", "n=0 m=4; x1 \\"),
+    ("pseudo", "oval-slide", "n=0 m=3; >2 o2 <2 >1 <1", 1, ">2 <2 x1 >2 <1",
+     "n=0 m=3; >2 o2 <2 >2 <1"),
+    ("pseudo", "oval-slide-rev", "n=0 m=3; >2 <2 x1 >2 <1", 1, ">2 o2 <2 >1 <1",
+     "n=0 m=3; >2 <2 x2 >2 <1"),
+    ("pseudo", "oval-shift", "n=0 m=3; >2 <2 x1 >2 <1", 1, ">2 <1 >2 o2 <1",
+     "n=0 m=3; >2 <2 x1 >1 <1"),
+    ("pseudo", "oval-shift-rev", "n=0 m=3; >2 <1 >2 o2 <1", 1, ">2 <2 x1 >2 <1",
+     "n=0 m=3; >2 <1 >2 o1 <1"),
+    ("pseudo", "cancel-pair", "n=0 m=3; <1 >2", 0, "", "n=0 m=3; <1 >1"),
+    ("pseudo", "pair-commute", "n=0 m=4; <1 >3", 0, ">3 <1", "n=0 m=4; <1 >2"),
+    ("pseudo", "drop-oval", "n=0 m=3; o2", 0, "", "n=0 m=3; x2"),
+    ("alg", "descend-zigzag", "n=0 m=3; >1 <2 >1 <1", 0, ">1 <1", "n=0 m=3; >1 <2 >2 <1"),
+    ("alg", "ascend-zigzag", "n=0 m=3; <2 >1 <2", 0, "<2", "n=0 m=3; <2 >1 <1"),
+]
+
+
+def test_move_rows_cover_every_rule():
+    assert [row[1] for row in MOVES if row[0] == "pseudo"] == list(PSEUDO_RULES)
+    assert [row[1] for row in MOVES if row[0] == "alg"] == list(ALG_RULES)
+
+
+@pytest.mark.parametrize("family, rule, text, pos, expected, miss", MOVES,
+                         ids=[row[1] for row in MOVES])
+def test_move_table(family, rule, text, pos, expected, miss):
+    rewrite = rewrite_pseudo if family == "pseudo" else rewrite_alg
+    ls = parse_scheme(text)
+    out = rewrite(ls, rule, pos)
+    assert out == parse_scheme(f"{text.split(';')[0]}; {expected}")
+    with pytest.raises(LSchemeError, match="does not match"):
+        rewrite(parse_scheme(miss), rule, pos)
+    # a -rev rule and its forward rule undo each other
+    inverse = rule[:-len("-rev")] if rule.endswith("-rev") else f"{rule}-rev"
+    if inverse in PSEUDO_RULES:
+        assert rewrite(out, inverse, pos) == ls
 
 
 def test_root_scheme_example():
