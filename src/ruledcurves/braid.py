@@ -10,7 +10,8 @@ permutation braids stored as permutations of {0, ..., m-1}.
 Text grammar (used by the CLI and fixture files): a mandatory header
 ``strands=<m>;`` followed by whitespace-separated tokens ``s<i>``,
 ``s<i>^<k>`` (k may be negative, meaning |k| copies of the inverse) and
-``D^<k>`` for the k-th power of the half twist.
+``D^<k>`` for the k-th power of the half twist. A text expands to at
+most MAX_WORD_LENGTH letters.
 """
 
 from __future__ import annotations
@@ -263,11 +264,19 @@ def equals(a: BraidWord, b: BraidWord) -> bool:
 
 # -- text form ---------------------------------------------------------
 
+# The longest word a parser expands its text to: braid letters here,
+# scheme events in lscheme.parse_scheme and comb letters in
+# comb.parse_comb. Each checks it before expanding a power, so a short
+# text such as "s1^1000000000" cannot ask for a billion-entry list.
+MAX_WORD_LENGTH = 100_000
+
 _HEADER = re.compile(r"^\s*strands\s*=\s*(\d+)\s*;\s*")
 _TOKEN = re.compile(r"^(?:s(\d+)(?:\^(-?\d+))?|D(?:\^(-?\d+))?)$")
 
 
 def parse_braid(text: str) -> BraidWord:
+    """Parse the text grammar; a word of more than MAX_WORD_LENGTH letters
+    after expansion is refused before it is built."""
     m = _HEADER.match(text)
     if not m:
         raise BraidError("braid text must start with 'strands=<m>;'")
@@ -275,7 +284,6 @@ def parse_braid(text: str) -> BraidWord:
     if strands < 2:
         raise BraidError("strands must be at least 2")
     letters: list[int] = []
-    d = delta(strands)
     for token in text[m.end():].split():
         tm = _TOKEN.match(token)
         if not tm:
@@ -285,11 +293,17 @@ def parse_braid(text: str) -> BraidWord:
             k = int(tm.group(2)) if tm.group(2) is not None else 1
             if not 1 <= i <= strands - 1:
                 raise BraidError(f"generator s{i} out of range for {strands} strands")
-            letters.extend([i if k > 0 else -i] * abs(k))
+            length = abs(k)
         else:
             k = int(tm.group(3)) if tm.group(3) is not None else 1
-            base = d.letters if k >= 0 else inverse(d).letters
-            letters.extend(base * abs(k))
+            length = abs(k) * strands * (strands - 1) // 2
+        if len(letters) + length > MAX_WORD_LENGTH:
+            raise BraidError(f"braid word longer than {MAX_WORD_LENGTH} letters")
+        if tm.group(1) is not None:
+            letters.extend([i if k > 0 else -i] * abs(k))
+        elif k:
+            d = delta(strands)
+            letters.extend((d if k > 0 else inverse(d)).letters * abs(k))
     return BraidWord(strands, tuple(letters))
 
 

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .braid import MAX_WORD_LENGTH
+
 Comb = tuple[int, ...]
 Matching = tuple[tuple[int, int], ...]
 
@@ -264,6 +266,8 @@ _COMB_TOKEN = re.compile(r"^g([1-6])$")
 
 
 def parse_comb(text: str) -> Comb:
+    """Parse 'g<i>' tokens and '(...)^k' groups, innermost group first; a
+    comb of more than MAX_WORD_LENGTH letters is refused before it is built."""
     text = text.strip()
     if text == "1":
         return ()
@@ -271,7 +275,11 @@ def parse_comb(text: str) -> Comb:
         m = _COMB_GROUP.search(text)
         if not m:
             break
-        text = text[:m.start()] + (" " + m.group(1) + " ") * int(m.group(2)) + text[m.end():]
+        head, body, tail = text[:m.start()], m.group(1).split(), text[m.end():]
+        k = int(m.group(2))
+        if len(head.split()) + len(body) * k + len(tail.split()) > MAX_WORD_LENGTH:
+            raise CombError(f"comb longer than {MAX_WORD_LENGTH} letters")
+        text = head + (f" {' '.join(body * k)} " if k else "") + tail
     word = []
     for token in text.split():
         tm = _COMB_TOKEN.match(token)

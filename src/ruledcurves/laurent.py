@@ -15,6 +15,7 @@ products of parenthesised factors with integer powers, e.g.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -195,26 +196,13 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out).shift(shift)
 
 
-def _content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = _gcd_int(g, abs(c))
-    return g or 1
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _primitive(p: LaurentPoly) -> LaurentPoly:
     """Unit-normalise, strip integer content, make the leading coefficient
     positive. The result generates the same ideal over the rationals."""
     p = p.normalized_unit()
     if p.is_zero():
         return p
-    g = _content(list(p.coeffs.values()))
+    g = math.gcd(*p.coeffs.values())
     return LaurentPoly({e: c // g for e, c in p.coeffs.items()})
 
 

@@ -13,7 +13,8 @@ An event is one of
     \\    the same from {y < 0},
 where k-1 is the number of real intersection points strictly below the
 event. Text form: header ``n=<surface> m=<strands>;`` then tokens,
-each optionally suffixed ``^<count>``; ``#`` starts a comment.
+each optionally suffixed ``^<count>``; ``#`` starts a comment. A text
+expands to at most MAX_WORD_LENGTH events.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .braid import BraidWord, delta, free_reduce
+from .braid import MAX_WORD_LENGTH, BraidWord, delta, free_reduce
 
 
 class LSchemeError(ValueError):
@@ -128,6 +129,8 @@ def parse_scheme(text: str) -> LScheme:
         count = int(tm.group(4)) if tm.group(4) else 1
         if count < 1:
             raise LSchemeError(f"bad repetition in token {token!r}")
+        if len(events) + count > MAX_WORD_LENGTH:
+            raise LSchemeError(f"scheme longer than {MAX_WORD_LENGTH} events")
         if tm.group(3):
             ev = Event(tm.group(3), 0)
         else:

@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from ruledcurves.braid import (
+    MAX_WORD_LENGTH,
     BraidError,
     compose,
     conjugate,
@@ -208,6 +209,18 @@ def test_parse_render_round_trip():
         parse_braid("s1 s2")
     with pytest.raises(BraidError):
         parse_braid("strands=3; s9")
+
+
+def test_parse_refuses_words_beyond_the_cap():
+    # Each text is a few bytes but expands to more than MAX_WORD_LENGTH
+    # letters; the parser refuses before building the list.
+    for text in ("strands=2; s1^1000000000", "strands=2; s1^-1000000000",
+                 "strands=4; D^1000000000", "strands=1000000; D",
+                 f"strands=3; s1^{MAX_WORD_LENGTH // 2} s2^-{MAX_WORD_LENGTH // 2 + 1}"):
+        with pytest.raises(BraidError, match="longer than"):
+            parse_braid(text)
+    assert len(parse_braid(f"strands=2; s1^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+    assert parse_braid("strands=1000000; D^0 s1").letters == (1,)
 
 
 def test_free_reduce():

@@ -83,6 +83,15 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_word_beyond_the_cap_exit_code(capsys):
+    for argv in (("invariants", "strands=2; s1^1000000000"),
+                 ("braid", "n=0 m=3; o1^1000000000"),
+                 ("mu", "(g1 g2)^1000000000 | 0 0 0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "longer than" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["enumerate", "nonsense-category"]) == 1
     capsys.readouterr()

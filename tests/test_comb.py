@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ruledcurves.braid import MAX_WORD_LENGTH
 from ruledcurves.comb import (
     CombError,
     WeightedComb,
@@ -39,6 +40,18 @@ def test_parse_render():
         parse_weighted_comb("g1 g2")
     with pytest.raises(CombError):
         WeightedComb((1,), -1, 0, 0)
+
+
+def test_parse_comb_groups_and_cap():
+    assert parse_comb("(g1 (g3 g4)^2 g2)^2") == (1, 3, 4, 3, 4, 2) * 2
+    assert parse_comb("g1 ()^1000000000 g2") == (1, 2)
+    with pytest.raises(CombError):
+        parse_comb("g1(g2)^0g3")  # an empty power does not split tokens apart
+    # Refused before expansion, also when each group alone is short.
+    for text in ("(g1 g2)^1000000000", "((g1)^1000)^1000",
+                 f"(g1 g2)^{MAX_WORD_LENGTH // 2} g3"):
+        with pytest.raises(CombError, match="longer than"):
+            parse_comb(text)
 
 
 def test_closure_anchors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ruledcurves.braid import (
 )
 from ruledcurves.invariants import (
     ConventionError,
+    _det,
     _determinant,
     _is_perfect_square,
     alexander_polynomial,
@@ -44,6 +46,156 @@ def test_burau_identity_and_generator():
     zero = LaurentPoly.zero()
     assert reduced_burau(identity(3)) == ((one, zero), (zero, one))
     assert reduced_burau(word(2, [1])) == ((parse_poly("-t"),),)
+
+
+def block_matrix(m, letter, t, t_inv, one, zero):
+    """The reduced Burau image of one letter in the block convention:
+    sigma_i is the identity with the block [[1,t,0],[0,-t,0],[0,1,1]] at
+    rows/columns i-1..i+1 (2x2 corners for the first and last generator);
+    sigma_i^-1 has 1, -t^-1, t^-1 in column i-1 instead of t, -t, 1."""
+    n, k = m - 1, abs(letter) - 1
+    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    column = (t, -t, one) if letter > 0 else (one, -t_inv, t_inv)
+    for r, entry in zip((k - 1, k, k + 1), column):
+        if 0 <= r < n:
+            rows[r][k] = entry
+    return tuple(tuple(row) for row in rows)
+
+
+def laurent_block(m, letter):
+    return block_matrix(m, letter, LaurentPoly.t(), LaurentPoly.term(1, -1),
+                        LaurentPoly.one(), LaurentPoly.zero())
+
+
+def leibniz_det(mat, one):
+    """Sum over permutations of sign * product of entries."""
+    n = len(mat)
+    total = one - one
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = one
+        for row, col in enumerate(perm):
+            term = term * mat[row][col]
+        total = total + (term if inversions % 2 == 0 else -term)
+    return total
+
+
+def random_laurent(rng):
+    if rng.random() < 0.3:
+        return LaurentPoly.zero()
+    return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+
+def laurent_matrix(rows):
+    return tuple(tuple(parse_poly(x) for x in row) for row in rows)
+
+
+def test_det_against_leibniz_on_random_matrices():
+    rng = random.Random(53)
+    one = LaurentPoly.one()
+    for n in range(7):
+        for _ in range(12 if n < 6 else 3):
+            mat = tuple(tuple(random_laurent(rng) for _ in range(n)) for _ in range(n))
+            assert _det(mat) == leibniz_det(mat, one)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # zero (0,0) entry: the first pivot needs a row swap
+    ([["0", "t"], ["1", "t^-1"]], "-t"),
+    ([["0", "0", "1"], ["0", "2", "t"], ["t", "1", "1"]], "-2*t"),
+    # the (1,1) entry vanishes after the first step: a later swap
+    ([["1", "1", "0"], ["1", "1", "1"], ["0", "1", "1"]], "-1"),
+    ([["t", "t^2", "1", "0"], ["1", "t", "0", "1"], ["0", "1", "t", "t"],
+      ["1", "0", "1", "t^-1"]], None),
+    # a zero column: no pivot
+    ([["1", "0", "t"], ["t", "0", "1"], ["2", "0", "t^-1"]], "0"),
+    # rank-deficient: row 2 = t * row 0 + row 1
+    ([["1", "t", "2"], ["t^-1", "3", "t - 1"], ["t + t^-1", "t^2 + 3", "3*t - 1"]], "0"),
+])
+def test_det_pivoting_cases(rows, expected):
+    mat = laurent_matrix(rows)
+    leibniz = leibniz_det(mat, LaurentPoly.one())
+    if expected is not None:
+        assert leibniz == parse_poly(expected)
+    assert _det(mat) == leibniz
+
+
+def test_burau_against_block_matrix_products():
+    # The column action of reduced_burau against a full product of the
+    # one-letter block matrices of the docstring convention.
+    rng = random.Random(59)
+    for _ in range(60):
+        b = random_word(rng, rng.randint(2, 6), max_len=12)
+        expected = reduced_burau(identity(b.strands))
+        for letter in b.letters:
+            expected = mat_mul(expected, laurent_block(b.strands, letter))
+        assert reduced_burau(b) == expected
+
+
+def sparse_mul(a, b):
+    """The matrix product a * b, skipping the zero entries of b."""
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in nonzero[k]:
+                    out[i][j] += x * y
+    return out
+
+
+def fraction_det(mat):
+    """Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def unit_at(r, t):
+    """(sign, k) with r = sign * t^k, or None when r is not of that form."""
+    if r == 0:
+        return None
+    k = 0
+    num, den = abs(r.numerator), r.denominator
+    while num % t == 0:
+        num, k = num // t, k + 1
+    while den % t == 0:
+        den, k = den // t, k - 1
+    return (1 if r > 0 else -1, k) if num == den == 1 else None
+
+
+def test_alexander_at_twelve_strands_against_evaluated_blocks():
+    # det(rho(b) - I) / (1 + t + ... + t^(m-1)) at t = 2 and 3, from
+    # integer-evaluated block matrices and rational elimination, is the
+    # Alexander polynomial times one unit +-t^k at both points.
+    rng = random.Random(61)
+    m = 12
+    b = word(m, [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(100)])
+    delta_b = alexander_polynomial(b)
+    units = set()
+    for t in (2, 3):
+        rho = [[int(r == c) for c in range(m - 1)] for r in range(m - 1)]
+        for letter in b.letters:
+            block = block_matrix(m, letter, Fraction(t), Fraction(1, t), Fraction(1), Fraction(0))
+            rho = sparse_mul(rho, block)
+        rhs = fraction_det([[x - (r == c) for c, x in enumerate(row)]
+                            for r, row in enumerate(rho)])
+        rhs /= sum(t ** e for e in range(m))
+        assert rhs != 0
+        units.add(unit_at(rhs / delta_b.eval_at(t), t))
+    assert len(units) == 1 and None not in units
 
 
 def test_burau_determinant_convention():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ruledcurves.braid import exponent_sum, parse_braid
+from ruledcurves.braid import MAX_WORD_LENGTH, exponent_sum, parse_braid
 from ruledcurves.comb import WeightedComb, render_weighted_comb
 from ruledcurves.lscheme import (
     ALG_RULES,
@@ -42,6 +42,10 @@ def test_parse_errors():
         parse_scheme("n=0 m=4; >1 >1")  # two descents in a row
     with pytest.raises(LSchemeError):
         parse_scheme("n=0 m=4; x3 >3 x3 <3")  # crossing too high in the low region
+    with pytest.raises(LSchemeError, match="longer than"):
+        parse_scheme("n=0 m=3; o1^1000000000")  # refused before expansion
+    with pytest.raises(LSchemeError, match="longer than"):
+        parse_scheme(f"n=0 m=3; o1^{MAX_WORD_LENGTH} x1")
 
 
 def test_empty_scheme_is_valid():
