@@ -10,8 +10,8 @@ permutation braids stored as permutations of {0, ..., m-1}.
 Text grammar (used by the CLI and fixture files): a mandatory header
 ``strands=<m>;`` followed by whitespace-separated tokens ``s<i>``,
 ``s<i>^<k>`` (k may be negative, meaning |k| copies of the inverse) and
-``D^<k>`` for the k-th power of the half twist. A text expands to at
-most MAX_WORD_LENGTH letters.
+``D^<k>`` for the k-th power of the half twist. A text names at most
+MAX_STRANDS strands and expands to at most MAX_WORD_LENGTH letters.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def delta(strands: int) -> BraidWord:
     for block in range(strands - 1, 0, -1):
         letters.extend(range(1, block + 1))
     return BraidWord(strands, tuple(letters))
+
+
+def delta_length(strands: int) -> int:
+    """The number of letters of delta(strands)."""
+    return strands * (strands - 1) // 2
 
 
 def exponent_sum(b: BraidWord) -> int:
@@ -270,19 +275,26 @@ def equals(a: BraidWord, b: BraidWord) -> bool:
 # text such as "s1^1000000000" cannot ask for a billion-entry list.
 MAX_WORD_LENGTH = 100_000
 
+# The most strands a braid or scheme text may name. The invariants build
+# (m-1)^2 matrix entries and do O(m^3) entry operations, so an unbounded
+# header such as "strands=100000;" would ask for 10^10 entries;
+# "strands=64; s1" takes about 0.06 s.
+MAX_STRANDS = 64
+
 _HEADER = re.compile(r"^\s*strands\s*=\s*(\d+)\s*;\s*")
 _TOKEN = re.compile(r"^(?:s(\d+)(?:\^(-?\d+))?|D(?:\^(-?\d+))?)$")
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse the text grammar; a word of more than MAX_WORD_LENGTH letters
-    after expansion is refused before it is built."""
+    """Parse the text grammar; more than MAX_STRANDS strands, or a word of
+    more than MAX_WORD_LENGTH letters after expansion, is refused before
+    it is built."""
     m = _HEADER.match(text)
     if not m:
         raise BraidError("braid text must start with 'strands=<m>;'")
     strands = int(m.group(1))
-    if strands < 2:
-        raise BraidError("strands must be at least 2")
+    if not 2 <= strands <= MAX_STRANDS:
+        raise BraidError(f"strands must be between 2 and {MAX_STRANDS}")
     letters: list[int] = []
     for token in text[m.end():].split():
         tm = _TOKEN.match(token)
@@ -296,7 +308,7 @@ def parse_braid(text: str) -> BraidWord:
             length = abs(k)
         else:
             k = int(tm.group(3)) if tm.group(3) is not None else 1
-            length = abs(k) * strands * (strands - 1) // 2
+            length = abs(k) * delta_length(strands)
         if len(letters) + length > MAX_WORD_LENGTH:
             raise BraidError(f"braid word longer than {MAX_WORD_LENGTH} letters")
         if tm.group(1) is not None:

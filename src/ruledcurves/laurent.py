@@ -10,7 +10,9 @@ used throughout the CLI and fixture files, e.g.
 
 with possibly negative exponents (t^-2). The parser additionally accepts
 products of parenthesised factors with integer powers, e.g.
-(t-1)^3*(t^2+1), which keeps fixture files close to factored values.
+(t-1)^3*(t^2+1), which keeps fixture files close to factored values. A
+product or power whose degree span would pass MAX_POLY_SPAN is refused
+before it is expanded, so a short text cannot ask for unbounded work.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ import math
 import re
 from fractions import Fraction
 
-import numpy as np
-
 
 class LaurentError(ValueError):
     pass
+
+
+# Widest degree span (highest minus lowest exponent) the parser expands a
+# product or power to; (t+1)^1024 expands in about 0.15 s.
+MAX_POLY_SPAN = 1024
 
 
 class LaurentPoly:
@@ -122,8 +127,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def shift(self, k: int) -> LaurentPoly:
@@ -206,29 +212,55 @@ def _primitive(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({e: c // g for e, c in p.coeffs.items()})
 
 
+# -- dense integer polynomials ------------------------------------------
+# Coefficient lists from degree 0 up with a nonzero last entry; [] is the
+# zero polynomial.
+
+
+def _dense_primitive(a: list[int]) -> list[int]:
+    """a divided by the positive gcd of its coefficients (signs kept)."""
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, for deg a >= deg b: each step
+    scales by |lc(b)| and cancels the top coefficient, so signs survive."""
+    lc = b[-1]
+    if lc < 0:
+        lc, b = -lc, [-c for c in b]
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            shift = len(r) - db
+            r = [c * lc for c in r]
+            for i in range(db):
+                r[shift + i] -= top * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd over the rationals of a and b, not both zero, by the primitive
+    pseudo-remainder sequence; primitive up to its sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _dense_primitive(_pseudo_remainder(a, b))
+    return _dense_primitive(a)
+
+
 def gcd_primitive(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd over the rationals, returned as a primitive integer polynomial
     with positive leading coefficient. Computed by the primitive
     pseudo-remainder sequence, stripping content at each step."""
     if p.is_zero() and q.is_zero():
         raise LaurentError("gcd of two zero polynomials")
-    a, b = _primitive(p), _primitive(q)
-    if a.is_zero():
-        return b
-    while not b.is_zero():
-        # Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a  mod  b.
-        da, db = a.highest_exp(), b.highest_exp()
-        if da < db:
-            a, b = b, a
-            da, db = db, da
-        lc = b.coeffs[db]
-        rem = a * (lc ** (da - db + 1))
-        while not rem.is_zero() and rem.highest_exp() >= db:
-            top = rem.highest_exp()
-            factor = rem.coeffs[top] // lc
-            rem = rem - b.shift(top - db) * factor
-        a, b = b, _primitive(rem)
-    return _primitive(a)
+    g = _dense_gcd(p.dense_int_coeffs(), q.dense_int_coeffs())
+    return _primitive(LaurentPoly(dict(enumerate(g))))
 
 
 def multiplicity_one_part(p: LaurentPoly) -> LaurentPoly:
@@ -242,16 +274,91 @@ def multiplicity_one_part(p: LaurentPoly) -> LaurentPoly:
     return _primitive(divide_exact(h, gcd_primitive(h, g)))
 
 
-def has_simple_unit_circle_root(p: LaurentPoly, tol: float = 1e-8) -> bool:
-    """Whether p has a simple complex root on the unit circle (within tol
-    of |z| = 1). Roots are taken from the companion matrix of the
-    multiplicity-one part."""
-    s1 = multiplicity_one_part(p)
-    coeffs = s1.dense_int_coeffs()
-    if len(coeffs) <= 1:
+# -- exact unit-circle test ----------------------------------------------
+
+
+def _deflate(q: list[int], r: int) -> list[int]:
+    """q / (t - r) for a root r of q, by synthetic division."""
+    out = [0] * (len(q) - 1)
+    acc = 0
+    for i in range(len(q) - 1, 0, -1):
+        acc = q[i] + r * acc
+        out[i - 1] = acc
+    return out
+
+
+def _half_degree(q: list[int]) -> list[int]:
+    """h with q(t) = t^k h(t + 1/t), for a palindromic q of degree 2k:
+    q / t^k = c_k + sum_j c_(k+j) V_j(x), where V_j(t + 1/t) = t^j + t^-j
+    follows V_0 = 2, V_1 = x, V_(j+1) = x V_j - V_(j-1)."""
+    k = (len(q) - 1) // 2
+    h = [0] * (k + 1)
+    h[0] = q[k]
+    prev, cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        c = q[k + j]
+        for i, v in enumerate(cur):
+            h[i] += c * v
+        nxt = [0] + cur
+        for i, v in enumerate(prev):
+            nxt[i] -= v
+        prev, cur = cur, nxt
+    return h
+
+
+def _sign_at(a: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return (v > 0) - (v < 0)
+
+
+def _sturm_count(h: list[int], lo: int, hi: int) -> tuple[int, list[int]]:
+    """Distinct real roots of h in (lo, hi), neither end a root, and
+    gcd(h, h') up to a constant: the last element of the Sturm chain
+    h, h', -rem(...), built from primitive pseudo-remainders."""
+    chain = [h, [i * c for i, c in enumerate(h)][1:]]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in _dense_primitive(r)])
+    count = 0
+    for x, sign in ((lo, 1), (hi, -1)):
+        signs = [s for s in (_sign_at(a, x) for a in chain) if s]
+        count += sign * sum(s != t for s, t in zip(signs, signs[1:]))
+    return count, chain[-1]
+
+
+def has_simple_unit_circle_root(p: LaurentPoly) -> bool:
+    """Whether p has a simple complex root on the unit circle, decided in
+    integer arithmetic:
+    - t = 1 and t = -1 are divided out; a simple one answers True;
+    - a rest q that is not palindromic is replaced by gcd(q, q*), q* the
+      reversal, which keeps every unit-circle root with its multiplicity;
+    - q(t) = t^k h(t + 1/t) maps a unit-circle root z != ±1 of
+      multiplicity r to the real root z + 1/z of h in (-2, 2), again of
+      multiplicity r;
+    - one Sturm chain of h counts its distinct roots in (-2, 2) and ends
+      in gcd(h, h'), whose roots are the repeated ones; a simple root
+      exists iff h has more distinct roots there than gcd(h, h') has."""
+    if p.is_zero():
+        raise LaurentError("unit-circle roots of the zero polynomial")
+    q = p.dense_int_coeffs()
+    for r in (1, -1):
+        mult = 0
+        while len(q) > 1 and _sign_at(q, r) == 0:
+            q = _deflate(q, r)
+            mult += 1
+        if mult == 1:
+            return True
+    if q != q[::-1]:
+        q = _dense_gcd(q, q[::-1])
+    if len(q) == 1:
         return False
-    roots = np.roots(list(reversed([float(c) for c in coeffs])))
-    return bool(np.any(np.abs(np.abs(roots) - 1.0) < tol))
+    distinct, g = _sturm_count(_dense_primitive(_half_degree(q)), -2, 2)
+    repeated = _sturm_count(g, -2, 2)[0] if len(g) > 1 else 0
+    return distinct > repeated
 
 
 # -- text form ---------------------------------------------------------
@@ -281,6 +388,10 @@ def format_poly(p: LaurentPoly) -> str:
         else:
             parts.append(f" {sign} {body}")
     return "".join(parts)
+
+
+def _span(p: LaurentPoly) -> int:
+    return p.highest_exp() - p.lowest_exp() if p.coeffs else 0
 
 
 class _Parser:
@@ -322,11 +433,12 @@ class _Parser:
         while True:
             if self.peek() == "mul":
                 self.take()
-                acc = acc * self.parse_factor()
-            elif self.peek() == "lpar":
-                acc = acc * self.parse_factor()
-            else:
+            elif self.peek() != "lpar":
                 return acc
+            factor = self.parse_factor()
+            if _span(acc) + _span(factor) > MAX_POLY_SPAN:
+                raise LaurentError(f"product wider than {MAX_POLY_SPAN} degrees")
+            acc = acc * factor
 
     def parse_factor(self) -> LaurentPoly:
         kind = self.peek()
@@ -337,7 +449,10 @@ class _Parser:
                 raise LaurentError("unbalanced parentheses in polynomial")
             self.take()
             if self.peek() == "pow":
-                inner = inner ** int(self.take()[1][1:])
+                k = int(self.take()[1][1:])
+                if k * max(_span(inner), 1) > MAX_POLY_SPAN:
+                    raise LaurentError(f"power wider than {MAX_POLY_SPAN} degrees")
+                inner = inner ** k
             return inner
         if kind == "int":
             return LaurentPoly.term(int(self.take()[1]))

@@ -14,7 +14,9 @@ An event is one of
 where k-1 is the number of real intersection points strictly below the
 event. Text form: header ``n=<surface> m=<strands>;`` then tokens,
 each optionally suffixed ``^<count>``; ``#`` starts a comment. A text
-expands to at most MAX_WORD_LENGTH events.
+expands to at most MAX_WORD_LENGTH events, names at most MAX_STRANDS
+strands, and its Delta^n padding in to_braid is at most MAX_WORD_LENGTH
+letters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .braid import MAX_WORD_LENGTH, BraidWord, delta, free_reduce
+from .braid import MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce
 
 
 class LSchemeError(ValueError):
@@ -121,6 +123,11 @@ def parse_scheme(text: str) -> LScheme:
     if not header:
         raise LSchemeError("scheme text must start with 'n=<int> m=<int>;'")
     n, m = int(header.group(1)), int(header.group(2))
+    if m > MAX_STRANDS:
+        raise LSchemeError(f"more than {MAX_STRANDS} strands")
+    if n * delta_length(m) > MAX_WORD_LENGTH:
+        raise LSchemeError(f"Delta^{n} on {m} strands is longer than "
+                           f"{MAX_WORD_LENGTH} letters")
     events: list[Event] = []
     for token in text[header.end():].split():
         tm = _TOKEN.match(token)
@@ -213,6 +220,8 @@ def to_braid(ls: LScheme) -> BraidWord:
             else:
                 letters.extend(range(m - 1, 0, -1))
     reduced = free_reduce(BraidWord(m, tuple(letters)))
+    if len(reduced.letters) + n * delta_length(m) > MAX_WORD_LENGTH:
+        raise LSchemeError(f"braid word longer than {MAX_WORD_LENGTH} letters")
     return BraidWord(m, reduced.letters + delta(m).letters * n)
 
 

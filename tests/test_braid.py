@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from ruledcurves.braid import (
+    MAX_STRANDS,
     MAX_WORD_LENGTH,
     BraidError,
     compose,
@@ -215,12 +216,18 @@ def test_parse_refuses_words_beyond_the_cap():
     # Each text is a few bytes but expands to more than MAX_WORD_LENGTH
     # letters; the parser refuses before building the list.
     for text in ("strands=2; s1^1000000000", "strands=2; s1^-1000000000",
-                 "strands=4; D^1000000000", "strands=1000000; D",
+                 "strands=4; D^1000000000", f"strands={MAX_STRANDS}; D^50",
                  f"strands=3; s1^{MAX_WORD_LENGTH // 2} s2^-{MAX_WORD_LENGTH // 2 + 1}"):
         with pytest.raises(BraidError, match="longer than"):
             parse_braid(text)
     assert len(parse_braid(f"strands=2; s1^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
-    assert parse_braid("strands=1000000; D^0 s1").letters == (1,)
+    assert parse_braid(f"strands={MAX_STRANDS}; D^0 s1").letters == (1,)
+    # A strand count past MAX_STRANDS is refused from the header alone:
+    # the invariants would build (m-1)^2 matrix entries.
+    for text in ("strands=1000000; D", "strands=1000000; D^0 s1",
+                 f"strands={MAX_STRANDS + 1}; s1"):
+        with pytest.raises(BraidError, match="strands must be"):
+            parse_braid(text)
 
 
 def test_free_reduce():

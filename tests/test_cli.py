@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from ruledcurves import cli
@@ -90,6 +93,34 @@ def test_word_beyond_the_cap_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "longer than" in err
+
+
+def test_header_numbers_beyond_the_cap_exit_code(capsys):
+    # Refused from the header, before a matrix or a padding word is built.
+    for argv, message in ((("invariants", "strands=100000; s1"), "strands must be"),
+                          (("obstruct", "strands=100000; s1"), "strands must be"),
+                          (("braid", "n=0 m=100000; x1"), "more than"),
+                          (("braid", "n=1000000000 m=3;"), "longer than"),
+                          (("comb", "n=1000000000 m=3; >1 <1"), "longer than")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err
+
+
+def test_wide_polynomial_in_a_registry_fails_the_fixture(tmp_path, capsys):
+    bad = tmp_path / "registry.txt"
+    bad.write_text("wide | braid | strands=3; s1 s2 | alexander=(t+1)^1000000000 | check\n")
+    code, out, _ = run(capsys, "repro", "--registry", str(bad))
+    assert code == 2
+    assert "power wider than" in out
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, ruledcurves.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_usage_error_exit_code(capsys):

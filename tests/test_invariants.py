@@ -1,10 +1,10 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from ruledcurves import invariants
 from ruledcurves.braid import (
     compose,
     conjugate,
@@ -26,7 +26,7 @@ from ruledcurves.invariants import (
     quasipositivity_verdict,
     reduced_burau,
 )
-from ruledcurves.laurent import LaurentPoly, parse_poly
+from ruledcurves.laurent import LaurentPoly, format_poly, parse_poly
 
 
 def random_word(rng, m=None, max_len=15):
@@ -338,18 +338,21 @@ def test_perfect_square_is_exact_at_any_size():
     assert not _is_perfect_square(-4)
 
 
-def test_square_obstruction_on_an_84_digit_determinant(monkeypatch):
+def test_square_obstruction_on_an_84_digit_determinant():
     # (s1 s2^-1)^200 s1 s2 has e = m - 1 and an 84-digit determinant,
     # far beyond what a float square-root guess can correct step by step.
-    # The unit-circle test is stubbed out: on this degree-396 polynomial
-    # it takes tens of seconds and is not what this test is about.
+    # Its degree-396 Alexander polynomial is (t - 1)^4 times a palindromic
+    # rest whose half-degree polynomial h (degree 196) is squarefree with
+    # 131 roots in (-2, 2), so double_alex fires too.
     b = word(3, [1, -2] * 200 + [1, 2])
     det = determinant_of_closure(b)
     assert len(str(det)) == 84
-    monkeypatch.setattr(invariants, "has_simple_unit_circle_root", lambda p: False)
+    start = time.perf_counter()
     fired = obstructions(b)
-    assert [o.test for o in fired] == ["square"]
-    assert fired[0].exponent_sum == 2 and fired[0].witness == str(det)
+    assert time.perf_counter() - start < 1.0
+    assert [o.test for o in fired] == ["double_alex", "square"]
+    assert fired[0].witness == format_poly(alexander_polynomial(b))
+    assert fired[1].exponent_sum == 2 and fired[1].witness == str(det)
 
 
 def test_determinant_is_exact():

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from ruledcurves.braid import word
+from ruledcurves.invariants import alexander_polynomial
 from ruledcurves.laurent import (
+    MAX_POLY_SPAN,
     LaurentError,
     LaurentPoly,
     divide_exact,
@@ -123,7 +126,7 @@ def test_multiplicity_one_part():
     assert multiplicity_one_part(P("t - 1")) == P("t - 1")
 
 
-def _roots_by_multiplicity(p):
+def _roots_by_multiplicity(np, p):
     """Independent oracle: cluster the numeric roots of p."""
     coeffs = list(reversed(p.dense_int_coeffs()))
     roots = np.roots([float(c) for c in coeffs])
@@ -139,6 +142,7 @@ def _roots_by_multiplicity(p):
 
 
 def test_multiplicity_one_part_against_numeric_roots():
+    np = pytest.importorskip("numpy")
     rng = random.Random(31)
     linear_pool = [P("t - 1"), P("t + 1"), P("t - 2"), P("t + 3"), P("t^2 + 1")]
     for _ in range(60):
@@ -150,9 +154,9 @@ def test_multiplicity_one_part_against_numeric_roots():
         # no root of the squared factor survives
         assert gcd_primitive(s1, square).highest_exp() == 0
         simple_roots = {round(c[0].real, 5) + 1j * round(c[0].imag, 5)
-                        for c in _roots_by_multiplicity(p) if len(c) == 1}
+                        for c in _roots_by_multiplicity(np, p) if len(c) == 1}
         s1_roots = {round(c[0].real, 5) + 1j * round(c[0].imag, 5)
-                    for c in _roots_by_multiplicity(s1)}
+                    for c in _roots_by_multiplicity(np, s1)}
         assert simple_roots == s1_roots
 
 
@@ -163,6 +167,92 @@ def test_unit_circle_root():
     assert not has_simple_unit_circle_root(P("t - 2"))
     with pytest.raises(LaurentError):
         has_simple_unit_circle_root(LaurentPoly.zero())
+
+
+def cyclotomic(n):
+    """Phi_n = (t^n - 1) / prod of Phi_d over the proper divisors d of n."""
+    p = P(f"t^{n} - 1")
+    for d in range(1, n):
+        if n % d == 0:
+            p = divide_exact(p, cyclotomic(d))
+    return p
+
+
+# Factors whose unit-circle roots are known: Phi_1 = t - 1 and
+# Phi_2 = t + 1 give t = 1 and t = -1, every other Phi_n only roots of
+# unity off the real axis; the reciprocal pairs (t^2 - 3t + 1,
+# 2t^2 - 5t + 2 = (2t - 1)(t - 2)) and the non-reciprocal factors (t - 2,
+# t^2 + t + 2 with |root|^2 = 2) have no root on the circle. The Phi_n
+# are pairwise coprime and share no root with the other factors, so a
+# unit-circle root has the exponent of its Phi_n as its multiplicity.
+ON_CIRCLE = [cyclotomic(n) for n in range(1, 13)]
+OFF_CIRCLE = [P("t^2 - 3*t + 1"), P("2*t^2 - 5*t + 2"), P("t - 2"), P("t^2 + t + 2")]
+
+
+def test_cyclotomic_factors():
+    assert ON_CIRCLE[0] == P("t - 1") and ON_CIRCLE[1] == P("t + 1")
+    assert ON_CIRCLE[11] == P("t^4 - t^2 + 1")
+    assert [f.highest_exp() for f in ON_CIRCLE] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_unit_circle_root_by_construction():
+    cases = [
+        ("(t - 1)*(t + 1)^2", True),  # a = 1
+        ("(t - 1)^2*(t + 1)", True),  # b = 1
+        ("(t - 1)^3*(t + 1)^2*(t^2 + 1)^2", False),
+        ("(t - 1)^2*(t^2 - 3*t + 1)", False),
+        ("(t^2 + t + 1)*(t - 2)", True),
+        ("(t^2 + t + 1)^2*(t - 2)*(t^2 + t + 2)", False),
+        ("(t^2 + 1)*(t^2 + t + 2)^3", True),
+        ("(t^2 + 1)^3*(t^4 - t^2 + 1)^2*(2*t^2 - 5*t + 2)", False),
+        ("t^-3*(t^4 + t^3 + t^2 + t + 1)*(t^2 - t + 1)^2", True),
+        ("-(t + 1)^3", False),
+    ]
+    for text, want in cases:
+        assert has_simple_unit_circle_root(P(text)) is want, text
+
+
+def test_unit_circle_root_on_random_products():
+    rng = random.Random(2004)
+    pool = ON_CIRCLE + OFF_CIRCLE
+    for _ in range(300):
+        chosen = rng.sample(range(len(pool)), rng.randint(1, 4))
+        mults = {i: rng.randint(1, 3) for i in chosen}
+        p = LaurentPoly.term(rng.choice((1, -1)), rng.randint(-5, 5))
+        for i, r in mults.items():
+            p = p * pool[i] ** r
+        want = any(r == 1 for i, r in mults.items() if i < len(ON_CIRCLE))
+        assert has_simple_unit_circle_root(p) is want, format_poly(p)
+
+
+def _float_unit_circle_rule(np, p):
+    """The companion-matrix rule: a root of the multiplicity-one part
+    within 1e-8 of |z| = 1."""
+    coeffs = multiplicity_one_part(p).dense_int_coeffs()
+    if len(coeffs) <= 1:
+        return False
+    roots = np.roots([float(c) for c in reversed(coeffs)])
+    return bool(np.any(np.abs(np.abs(roots) - 1.0) < 1e-8))
+
+
+def test_unit_circle_root_against_numeric_roots():
+    # Alexander polynomials of random braids at e = m - 1, m <= 6: the
+    # inputs of the double_alex obstruction. Their coefficients stay small
+    # enough here that the float rule is reliable.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(11)
+    checked = 0
+    while checked < 150:
+        m = rng.randint(2, 6)
+        negative = rng.randint(0, 12)
+        letters = ([rng.randint(1, m - 1) for _ in range(negative + m - 1)]
+                   + [-rng.randint(1, m - 1) for _ in range(negative)])
+        rng.shuffle(letters)
+        p = alexander_polynomial(word(m, letters))
+        if p.is_zero():
+            continue
+        assert has_simple_unit_circle_root(p) == _float_unit_circle_rule(np, p), format_poly(p)
+        checked += 1
 
 
 def test_text_round_trip():
@@ -177,3 +267,18 @@ def test_text_round_trip():
         parse_poly("t^^2")
     with pytest.raises(LaurentError):
         parse_poly("(t-1")
+
+
+def test_parse_refuses_wide_powers_and_products():
+    # Each text is a few bytes but would expand to a polynomial of huge
+    # degree span or a huge coefficient; the parser refuses first.
+    for text in ("(t+1)^1000000000", f"(t+1)^{MAX_POLY_SPAN + 1}",
+                 f"(t^2+1)^{MAX_POLY_SPAN // 2 + 1}", "(2)^1000000000",
+                 f"(t+1)^{MAX_POLY_SPAN}*(t-1)"):
+        with pytest.raises(LaurentError, match="wider than"):
+            parse_poly(text)
+    at_cap = parse_poly(f"(t+1)^{MAX_POLY_SPAN}")
+    assert at_cap.highest_exp() == MAX_POLY_SPAN and at_cap.lowest_exp() == 0
+    assert at_cap.coeffs[MAX_POLY_SPAN // 2] == math.comb(MAX_POLY_SPAN, MAX_POLY_SPAN // 2)
+    assert parse_poly(f"(t^2-1)^{MAX_POLY_SPAN // 2}") == P("t^2-1") ** (MAX_POLY_SPAN // 2)
+    assert parse_poly("(t^-3)^1000*t^1000000000") == LaurentPoly.term(1, 10**9 - 3000)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ruledcurves.braid import MAX_WORD_LENGTH, exponent_sum, parse_braid
+from ruledcurves.braid import MAX_STRANDS, MAX_WORD_LENGTH, exponent_sum, parse_braid
 from ruledcurves.comb import WeightedComb, render_weighted_comb
 from ruledcurves.lscheme import (
     ALG_RULES,
@@ -46,6 +46,19 @@ def test_parse_errors():
         parse_scheme("n=0 m=3; o1^1000000000")  # refused before expansion
     with pytest.raises(LSchemeError, match="longer than"):
         parse_scheme(f"n=0 m=3; o1^{MAX_WORD_LENGTH} x1")
+
+
+def test_header_numbers_are_capped():
+    # The strand count and the Delta^n padding of to_braid are checked
+    # from the header, before any event is expanded.
+    with pytest.raises(LSchemeError, match="more than"):
+        parse_scheme(f"n=0 m={MAX_STRANDS + 1}; x1")
+    with pytest.raises(LSchemeError, match="longer than"):
+        parse_scheme("n=1000000000 m=3;")
+    pad = MAX_WORD_LENGTH // 3  # Delta on 3 strands has 3 letters
+    assert len(to_braid(parse_scheme(f"n={pad} m=3; x1")).letters) == 3 * pad + 1
+    with pytest.raises(LSchemeError, match="longer than"):
+        to_braid(parse_scheme(f"n={pad} m=3; x1 x1"))
 
 
 def test_empty_scheme_is_valid():
