@@ -131,10 +131,6 @@ def _inverse_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _length(p: Perm) -> int:
-    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-
-
 def _left_descents(p: Perm):
     """Generators i with l(s_i p) < l(p): p(i-1) > p(i) in 0-based positions."""
     return [i for i in range(1, len(p)) if p[i - 1] > p[i]]

@@ -13,6 +13,7 @@ are the matching constraints the pruning balance laws are derived from.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -210,10 +211,13 @@ def _parity_prune(w: WeightedComb) -> bool:
     return abs(e1 - e2) <= w.alpha
 
 
-def mu_count(w: WeightedComb, prune: bool = True) -> int:
-    """Number of chains from w down to a closed comb at zero weights.
+def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
+    """Number of chains from w down to a closed comb at zero weights,
+    capped at `enough`: the search stops once it has found that many.
     Distinct rewrite positions count as distinct chains; successor words
-    of one state are pairwise distinct, so memoising on states is exact."""
+    of one state are pairwise distinct, so memoising on states is exact,
+    and so is memoising the capped counts, since
+    min(cap, sum of counts) = min(cap, sum of capped counts)."""
     memo: dict[WeightedComb, int] = {}
 
     def count(state: WeightedComb) -> int:
@@ -224,27 +228,25 @@ def mu_count(w: WeightedComb, prune: bool = True) -> int:
         elif prune and not (_feasible(state) and _parity_prune(state)):
             result = 0
         else:
-            result = sum(count(s) for s in chain_successors(state))
+            result = 0
+            for s in chain_successors(state):
+                result += count(s)
+                if result >= enough:
+                    result = enough
+                    break
         memo[state] = result
         return result
 
     return count(w)
 
 
+def mu_count(w: WeightedComb, prune: bool = True) -> int:
+    """Number of chains from w down to a closed comb at zero weights."""
+    return _chains(w, prune, math.inf)
+
+
 def mu_exists(w: WeightedComb, prune: bool = True) -> bool:
-    seen: set[WeightedComb] = set()
-
-    def search(state: WeightedComb) -> bool:
-        if state in seen:
-            return False
-        seen.add(state)
-        if state.alpha == 0 and state.beta == 0 and state.gamma == 0:
-            return is_closed(state.word)
-        if prune and not (_feasible(state) and _parity_prune(state)):
-            return False
-        return any(search(s) for s in chain_successors(state))
-
-    return search(w)
+    return _chains(w, prune, 1) > 0
 
 
 def algebraic_realizability_verdict(ls) -> bool:

@@ -10,7 +10,7 @@ certificate provided is triviality at exponent sum zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .braid import BraidWord, exponent_sum, is_trivial
 from .laurent import (
@@ -161,12 +161,7 @@ class Obstruction:
     witness: str
 
     def as_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "strands": self.strands,
-            "exponent_sum": self.exponent_sum,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
@@ -211,13 +206,7 @@ class QuasipositivityVerdict:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "strands": self.strands,
-            "exponent_sum": self.exponent_sum,
-            "obstructions": [o.as_dict() for o in self.obstructions],
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:

@@ -22,7 +22,7 @@ letters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .braid import MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce
@@ -47,19 +47,20 @@ class LScheme:
     surface_index: int
     strands: int
     events: tuple[Event, ...]
+    _closed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.surface_index < 0:
             raise LSchemeError("surface index must be nonnegative")
         if self.strands < 2:
             raise LSchemeError("at least 2 strands are required")
-        _validate(self.surface_index, self.strands, self.events)
+        ends_full = _validate(self.surface_index, self.strands, self.events)
+        object.__setattr__(self, "_closed", ends_full and _starts_full(self.events))
 
     def is_closed_scheme(self) -> bool:
         """Starts and ends at the full intersection count (meets the
         fiber at infinity in m distinct real points)."""
-        return _starts_full(self.events) and _validate(
-            self.surface_index, self.strands, self.events)
+        return self._closed
 
 
 def _starts_full(events: tuple[Event, ...]) -> bool:

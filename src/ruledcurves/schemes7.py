@@ -1,14 +1,15 @@
 """
 Queryable database of the realizable real schemes of nonsingular
 degree-7 curves in the projective plane, by category, plus the
-complex-scheme list for symmetric M-curves and the complex-orientation
-identity used as a consistency filter.
+complex-scheme list for symmetric M-curves, and the complex-orientation
+identity as a standalone check.
 
 Real schemes are nesting trees: ``<J + 4 + 1<8>>`` is the odd component
 J, four empty ovals, and an oval with eight empty ovals inside. Complex
-schemes add a p/m sign per oval and a trailing ``:I`` or ``:II`` type
-tag. The classification tables live in data/schemes7.json, one block
-per statement, so the numbers can be audited without reading code.
+schemes of type I add a p/m sign per oval and a trailing ``:I`` tag;
+type II schemes carry no signs and a trailing ``:II`` tag. The
+classification tables live in data/schemes7.json, one block per
+statement, so the numbers can be audited without reading code.
 """
 
 from __future__ import annotations
@@ -38,24 +39,28 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class RealSchemeCode:
-    has_pseudoline: bool
     ovals: Forest
 
 
 @dataclass(frozen=True)
 class ComplexSchemeCode:
-    has_pseudoline: bool
-    ovals: tuple  # ovals with signs: (sign, children-tuple)
+    # type I: ovals with signs, (sign, children) at every level;
+    # type II: the real forest, which carries no orientation
+    ovals: tuple
     type_tag: str  # "I" or "II"
 
     def real_code(self) -> RealSchemeCode:
+        if self.type_tag == "II":
+            return RealSchemeCode(self.ovals)
+
         def strip(forest):
-            return _canon(tuple(strip(children) for _sign, children in forest))
-        return RealSchemeCode(self.has_pseudoline, strip(self.ovals))
+            return _canon(strip(children) for _sign, children in forest)
+        return RealSchemeCode(strip(self.ovals))
 
 
-def _canon(forest) -> Forest:
-    return tuple(sorted((_canon(o) for o in forest), reverse=True))
+def _canon(nodes) -> tuple:
+    """Canonical order of a forest whose nodes are already canonical."""
+    return tuple(sorted(nodes, reverse=True))
 
 
 # -- text form ----------------------------------------------------------
@@ -64,6 +69,9 @@ _ITEM = re.compile(r"(\d+)([pm]?)")
 
 
 class _SchemeParser:
+    """``<J + item + ...>``, where an item is a count, a p/m sign when the
+    scheme is signed, and an optional nested ``<item + ...>`` group."""
+
     def __init__(self, text: str, signed: bool):
         self.text = text
         self.pos = 0
@@ -76,99 +84,64 @@ class _SchemeParser:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def expect(self, ch: str):
+    def accept(self, ch: str) -> bool:
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+        if self.text.startswith(ch, self.pos):
+            self.pos += 1
+            return True
+        return False
 
-    def parse(self):
+    def expect(self, ch: str):
+        if not self.accept(ch):
+            self.error(f"expected {ch!r}")
+
+    def parse(self) -> tuple:
         self.expect("<")
+        self.expect("J")
+        ovals = self.group(after_item=True)  # J is the first item
         self.skip_ws()
-        if not self.text.startswith("J", self.pos):
-            self.error("expected J")
-        self.pos += 1
-        ovals = []
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ">":
-                self.pos += 1
-                break
-            self.expect("+")
-            ovals.extend(self.parse_item())
+        if self.pos != len(self.text):
+            self.error("trailing input")
         return ovals
 
-    def parse_group(self):
-        """A sign-less forest inside <...> of a nested group."""
+    def group(self, after_item: bool) -> tuple:
+        """The '+'-separated items up to the closing '>', in canonical order."""
         ovals = []
-        first = True
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ">":
-                self.pos += 1
-                return ovals
-            if not first:
+        while not self.accept(">"):
+            if after_item:
                 self.expect("+")
-            first = False
-            ovals.extend(self.parse_item())
+            after_item = True
+            ovals.extend(self.item())
+        return _canon(ovals)
 
-    def parse_item(self):
+    def item(self) -> list:
         self.skip_ws()
         m = _ITEM.match(self.text, self.pos)
         if not m:
             self.error("expected an oval count")
         self.pos = m.end()
-        count = int(m.group(1))
-        sign = m.group(2)
+        count, sign = int(m.group(1)), m.group(2)
         if self.signed and not sign:
             self.error("complex schemes need a p/m sign on every oval")
         if not self.signed and sign:
             self.error("unexpected sign in a real scheme")
-        children = []
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "<":
-            self.pos += 1
-            children = self.parse_group()
-        if self.signed:
-            node = (1 if sign == "p" else -1, tuple(children))
-        else:
-            node = tuple(children)
+        children = self.group(after_item=False) if self.accept("<") else ()
+        node = (1 if sign == "p" else -1, children) if self.signed else children
         return [node] * count
 
 
 def parse_real_scheme(text: str) -> RealSchemeCode:
-    parser = _SchemeParser(text.strip(), signed=False)
-    ovals = parser.parse()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input")
-    return RealSchemeCode(True, _canon(tuple(ovals)))
+    return RealSchemeCode(_SchemeParser(text.strip(), signed=False).parse())
 
 
 def parse_complex_scheme(text: str) -> ComplexSchemeCode:
     body, _, tag = text.strip().rpartition(":")
     if tag not in ("I", "II"):
         raise SchemeError(f"complex scheme needs a :I or :II tag: {text!r}")
-    parser = _SchemeParser(body.strip(), signed=(tag == "I"))
-    ovals = parser.parse()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input")
-
-    def canon_signed(forest):
-        return tuple(sorted(((s, canon_signed(ch)) for s, ch in forest), reverse=True))
-
-    if tag == "I":
-        canon = canon_signed(tuple(ovals))
-    else:
-        canon = tuple(sorted(ovals, reverse=True))
-    return ComplexSchemeCode(True, canon, tag)
+    return ComplexSchemeCode(_SchemeParser(body.strip(), signed=(tag == "I")).parse(), tag)
 
 
 def render_real_scheme(code: RealSchemeCode) -> str:
-    if not code.has_pseudoline:
-        raise SchemeError("degree-7 schemes carry the odd component")
-
     def render_forest(forest) -> list[str]:
         parts = []
         empty = sum(1 for o in forest if not o)
@@ -184,6 +157,9 @@ def render_real_scheme(code: RealSchemeCode) -> str:
 
 
 def render_complex_scheme(code: ComplexSchemeCode) -> str:
+    if code.type_tag == "II":
+        return f"{render_real_scheme(code.real_code())}:II"
+
     def render_forest(forest) -> list[str]:
         groups: dict = {}
         for sign, children in forest:
@@ -229,8 +205,6 @@ def _resolve(category: str) -> tuple[dict, dict, list[str], set[tuple[int, int]]
 def _shape(code: RealSchemeCode):
     """Classify into the degree-7 grammar: plain <J + a>, nest
     <J + a + 1<b>>, or one of the two recorded deep nests."""
-    if not code.has_pseudoline:
-        raise SchemeError("degree-7 schemes carry the odd component")
     forest = code.ovals
     nonempty = [o for o in forest if o]
     if not nonempty:
@@ -278,20 +252,13 @@ def enumerate_schemes(category: str) -> list[RealSchemeCode]:
     """All realizable codes of the category: plain schemes by ascending
     oval count, then nests by (outer, inner), then the deep nests."""
     nest, plain, extra, _removed = _resolve(category)
-    out: list[RealSchemeCode] = []
-    for alpha in range(plain["alpha_min"], plain["alpha_max"] + 1):
-        code = parse_real_scheme(f"<J + {alpha}>" if alpha else "<J>")
-        if realizable(code, category):
-            out.append(code)
-    for alpha in range(nest["alpha_min"], nest["alpha_max"] + 1):
-        for beta in range(nest["beta_min"], nest["beta_max"] + 1):
-            prefix = f"<J + {alpha} + " if alpha else "<J + "
-            code = parse_real_scheme(f"{prefix}1<{beta}>>")
-            if realizable(code, category):
-                out.append(code)
-    for text in extra:
-        out.append(parse_real_scheme(text))
-    return out
+    candidates = [RealSchemeCode(((),) * alpha)
+                  for alpha in range(plain["alpha_min"], plain["alpha_max"] + 1)]
+    candidates += [RealSchemeCode((((),) * beta,) + ((),) * alpha)
+                   for alpha in range(nest["alpha_min"], nest["alpha_max"] + 1)
+                   for beta in range(nest["beta_min"], nest["beta_max"] + 1)]
+    return ([code for code in candidates if realizable(code, category)]
+            + [parse_real_scheme(text) for text in extra])
 
 
 def symmetric_m_complex_schemes() -> list[ComplexSchemeCode]:

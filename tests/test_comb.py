@@ -167,15 +167,25 @@ def test_mu_counts_position_choices():
 
 
 def test_mu_pruned_equals_unpruned():
+    """Pruned and unpruned counts agree, and the early-stopping existence
+    search agrees with the full count. The existence search runs first, so
+    a count cut short by its early stop and kept for a later search shows;
+    mu3 has three chains, so there the early stop does cut a count short."""
     rng = random.Random(109)
     words = [tuple(rng.randint(1, 6) for _ in range(length))
              for length in range(0, 7) for _ in range(6)]
-    for word in words:
-        for alpha in range(0, 4):
-            for beta in range(0, 3):
-                for gamma in range(0, 3):
-                    w = WeightedComb(word, alpha, beta, gamma)
-                    assert mu_count(w, prune=True) == mu_count(w, prune=False), w
+    combs = [WeightedComb(word, alpha, beta, gamma)
+             for word in words
+             for alpha in range(0, 4) for beta in range(0, 3) for gamma in range(0, 3)]
+    mu3 = parse_weighted_comb("g2 g5 g2 g5 g2 g5 | 0 0 1")
+    counts = {}
+    for w in combs + [mu3]:
+        exists = {p: mu_exists(w, prune=p) for p in (True, False)}
+        counts[w] = mu_count(w, prune=False)
+        assert mu_count(w, prune=True) == counts[w], w
+        for p in (True, False):
+            assert exists[p] == (counts[w] > 0), (w, p)
+    assert counts[mu3] == 3
 
 
 def test_realizability_verdict():

@@ -145,6 +145,19 @@ def test_complex_scheme_round_trip():
         parse_complex_scheme("<J + 9 + 6m>:I")
 
 
+def test_type_ii_complex_schemes():
+    """Type II schemes carry no signs: they hold the canonical real forest,
+    render, reduce to real codes, and compare equal in any item order."""
+    for text in ("<J + 3>:II", "<J + 1<2 + 1<1>>>:II"):
+        code = parse_complex_scheme(text)
+        assert render_complex_scheme(code) == text
+        assert code.real_code() == parse_real_scheme(text[:-len(":II")])
+    assert (parse_complex_scheme("<J + 1<2 + 1<1>>>:II")
+            == parse_complex_scheme("<J + 1<1<1> + 2>>:II"))
+    with pytest.raises(SchemeError):
+        parse_complex_scheme("<J + 3p>:II")
+
+
 def test_rokhlin_mischachev():
     assert rokhlin_mischachev(0, 0, 0, 0, 12, 3)
     assert not rokhlin_mischachev(1, 0, 0, 0, 12, 3)
