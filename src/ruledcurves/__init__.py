@@ -41,7 +41,6 @@ from .laurent import (
     format_poly,
     gcd_primitive,
     has_simple_unit_circle_root,
-    multiplicity_one_part,
     parse_poly,
 )
 from .lscheme import (

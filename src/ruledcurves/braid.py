@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 Perm = tuple[int, ...]
 
@@ -318,17 +319,10 @@ def parse_braid(text: str) -> BraidWord:
 def render_braid(b: BraidWord) -> str:
     """Render with run-length grouping of repeated letters."""
     parts = [f"strands={b.strands};"]
-    i = 0
-    letters = b.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        run = j - i
-        gen = abs(letters[i])
-        if letters[i] > 0:
-            parts.append(f"s{gen}" if run == 1 else f"s{gen}^{run}")
+    for letter, group in groupby(b.letters):
+        run = len(list(group))
+        if letter > 0:
+            parts.append(f"s{letter}" if run == 1 else f"s{letter}^{run}")
         else:
-            parts.append(f"s{gen}^{-run}")
-        i = j
+            parts.append(f"s{-letter}^{-run}")
     return " ".join(parts)

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 
 from . import braid as braids
@@ -79,7 +80,7 @@ def _cmd_obstruct(args) -> int:
         lines.append(f"obstruction {o.test}: e={o.exponent_sum} m={o.strands} witness={o.witness}")
     if verdict.note:
         lines.append(f"note: {verdict.note}")
-    _emit(args, verdict.as_dict(), "\n".join(lines))
+    _emit(args, asdict(verdict), "\n".join(lines))
     return EXIT_OK
 
 
@@ -174,88 +175,81 @@ def _parse_expectation(expectation: str) -> list[tuple[str, str]]:
     return out
 
 
-def _fired_tests(b: braids.BraidWord) -> set[str]:
-    return {o.test for o in invs.obstructions(b)}
+def _bool(got: bool, value: str) -> tuple[bool, str]:
+    return got == (value == "true"), str(got).lower()
 
 
-def _check_braid(b: braids.BraidWord, key: str, value: str) -> tuple[bool, str]:
-    if key == "e":
-        got = braids.exponent_sum(b)
-        return got == int(value), str(got)
-    if key == "alexander":
-        got = invs.alexander_polynomial(b)
-        want = parse_poly(value).normalized_unit()
-        return got == want, format_poly(got)
-    if key == "alexander_equals":
-        got = invs.alexander_polynomial(b)
-        other = invs.alexander_polynomial(braids.parse_braid(value))
-        return got == other, f"{format_poly(got)} vs {format_poly(other)}"
-    if key == "det":
-        got = invs.determinant_of_closure(b)
-        return got == int(value), str(got)
-    if key == "fires":
-        fired = _fired_tests(b)
-        want = set(value.split(","))
-        return want <= fired, ",".join(sorted(fired)) or "none"
-    if key == "not_fires":
-        fired = _fired_tests(b)
-        want = set(value.split(","))
-        return not (want & fired), ",".join(sorted(fired)) or "none"
-    if key == "trivial":
-        got = braids.is_trivial(b)
-        return got == (value == "true"), str(got).lower()
-    if key == "garside_equals":
-        got = braids.equals(b, braids.parse_braid(value))
-        return got, str(got).lower()
-    if key == "verdict":
-        got = invs.quasipositivity_verdict(b).status
-        return got == value, got
-    raise ValueError(f"unknown braid assertion {key!r}")
+def _int(got: int, value: str) -> tuple[bool, str]:
+    return got == int(value), str(got)
 
 
-def _check_lscheme(ls, key: str, value: str) -> tuple[bool, str]:
-    if key == "braid":
-        got = lschemes.to_braid(ls)
-        want = braids.parse_braid(value)
-        return got.letters == want.letters and got.strands == want.strands, \
-            braids.render_braid(got)
-    if key == "root_scheme":
-        got = lschemes.render_root_scheme(lschemes.root_scheme(ls))
-        return got == value, got
-    if key == "comb":
-        got = combs.render_weighted_comb(lschemes.weighted_comb(ls))
-        return got == value, got
-    raise ValueError(f"unknown lscheme assertion {key!r}")
+def _text(got: str, value: str) -> tuple[bool, str]:
+    return got == value, got
 
 
-def _check_comb(w: combs.WeightedComb, key: str, value: str) -> tuple[bool, str]:
-    if key == "closed":
-        got = combs.is_closed(w.word)
-        return got == (value == "true"), str(got).lower()
-    if key == "mu_exists":
-        got = combs.mu_exists(w)
-        return got == (value == "true"), str(got).lower()
-    if key == "mu_count":
-        got = combs.mu_count(w)
-        return got == int(value), str(got)
-    raise ValueError(f"unknown comb assertion {key!r}")
+def _fires(b: braids.BraidWord, value: str, fire: bool) -> tuple[bool, str]:
+    fired = {o.test for o in invs.obstructions(b)}
+    want = set(value.split(","))
+    return (want <= fired if fire else not want & fired), ",".join(sorted(fired)) or "none"
 
 
-def _check_scheme_query(input_text: str, key: str, value: str) -> tuple[bool, str]:
-    if input_text == "complex-list":
-        got = len(schemes7.symmetric_m_complex_schemes())
-        return got == int(value), str(got)
-    subject, _, category = input_text.partition(" :: ")
-    subject, category = subject.strip(), category.strip()
-    if key == "count":
-        if subject != "enumerate":
-            raise ValueError(f"count assertion needs an enumerate input, got {subject!r}")
-        got = len(schemes7.enumerate_schemes(category))
-        return got == int(value), str(got)
-    if key == "realizable":
-        got = schemes7.realizable(schemes7.parse_real_scheme(subject), category)
-        return got == (value == "true"), str(got).lower()
-    raise ValueError(f"unknown scheme-query assertion {key!r}")
+def _alexander(b: braids.BraidWord, value: str) -> tuple[bool, str]:
+    got = invs.alexander_polynomial(b)
+    return got == parse_poly(value).normalized_unit(), format_poly(got)
+
+
+def _alexander_equals(b: braids.BraidWord, value: str) -> tuple[bool, str]:
+    got = invs.alexander_polynomial(b)
+    other = invs.alexander_polynomial(braids.parse_braid(value))
+    return got == other, f"{format_poly(got)} vs {format_poly(other)}"
+
+
+def _braid(ls: lschemes.LScheme, value: str) -> tuple[bool, str]:
+    got = lschemes.to_braid(ls)
+    return got == braids.parse_braid(value), braids.render_braid(got)
+
+
+def _count(query: tuple[str, str], value: str) -> tuple[bool, str]:
+    subject, category = query
+    if subject == "complex-list":
+        return _int(len(schemes7.symmetric_m_complex_schemes()), value)
+    if subject != "enumerate":
+        raise ValueError(f"count assertion needs an enumerate input, got {subject!r}")
+    return _int(len(schemes7.enumerate_schemes(category)), value)
+
+
+# fixture kind -> (input parser, assertion key -> check(subject, value)
+# -> (passed, computed text)). The checks look functions up on their
+# modules at call time, so wrappers installed after import see the calls.
+_FIXTURE_KINDS = {
+    "braid": (braids.parse_braid, {
+        "e": lambda b, v: _int(braids.exponent_sum(b), v),
+        "alexander": _alexander,
+        "alexander_equals": _alexander_equals,
+        "det": lambda b, v: _int(invs.determinant_of_closure(b), v),
+        "fires": lambda b, v: _fires(b, v, True),
+        "not_fires": lambda b, v: _fires(b, v, False),
+        "trivial": lambda b, v: _bool(braids.is_trivial(b), v),
+        "garside_equals": lambda b, v: _bool(braids.equals(b, braids.parse_braid(v)), "true"),
+        "verdict": lambda b, v: _text(invs.quasipositivity_verdict(b).status, v),
+    }),
+    "lscheme": (lschemes.parse_scheme, {
+        "braid": _braid,
+        "root_scheme": lambda ls, v: _text(
+            lschemes.render_root_scheme(lschemes.root_scheme(ls)), v),
+        "comb": lambda ls, v: _text(combs.render_weighted_comb(lschemes.weighted_comb(ls)), v),
+    }),
+    "comb": (combs.parse_weighted_comb, {
+        "closed": lambda w, v: _bool(combs.is_closed(w.word), v),
+        "mu_exists": lambda w, v: _bool(combs.mu_exists(w), v),
+        "mu_count": lambda w, v: _int(combs.mu_count(w), v),
+    }),
+    "scheme-query": (lambda text: tuple(part.strip() for part in text.partition(" :: ")[::2]), {
+        "count": _count,
+        "realizable": lambda q, v: _bool(
+            schemes7.realizable(schemes7.parse_real_scheme(q[0]), q[1]), v),
+    }),
+}
 
 
 def run_fixture(fixture: dict) -> dict:
@@ -265,21 +259,14 @@ def run_fixture(fixture: dict) -> dict:
     try:
         clauses = _parse_expectation(fixture["expectation"])
         kind = fixture["kind"]
-        if kind == "braid":
-            subject = braids.parse_braid(fixture["input"])
-            check = lambda k, v: _check_braid(subject, k, v)
-        elif kind == "lscheme":
-            subject = lschemes.parse_scheme(fixture["input"])
-            check = lambda k, v: _check_lscheme(subject, k, v)
-        elif kind == "comb":
-            subject = combs.parse_weighted_comb(fixture["input"])
-            check = lambda k, v: _check_comb(subject, k, v)
-        elif kind == "scheme-query":
-            check = lambda k, v: _check_scheme_query(fixture["input"], k, v)
-        else:
+        if kind not in _FIXTURE_KINDS:
             raise ValueError(f"unknown fixture kind {kind!r}")
+        parse, checks = _FIXTURE_KINDS[kind]
+        subject = parse(fixture["input"])
         for key, value in clauses:
-            ok, got = check(key, value)
+            if key not in checks:
+                raise ValueError(f"unknown {kind} assertion {key!r}")
+            ok, got = checks[key](subject, value)
             computed.append(f"{key}={got}")
             if not ok:
                 failures.append(f"{key}: expected {value}, got {got}")

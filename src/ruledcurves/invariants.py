@@ -10,7 +10,7 @@ certificate provided is triviality at exponent sum zero.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .braid import BraidWord, exponent_sum, is_trivial
 from .laurent import (
@@ -27,22 +27,6 @@ Matrix = tuple[tuple[LaurentPoly, ...], ...]
 class ConventionError(RuntimeError):
     """An invariant computation hit an identity that the chosen Burau
     convention guarantees; signals a bug, not bad input."""
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    zero = LaurentPoly.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if a[i][k].coeffs and b[k][j].coeffs:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # sigma_i^sign rewrites column k = i-1 of the matrix it acts on from the
@@ -160,9 +144,6 @@ class Obstruction:
     exponent_sum: int
     witness: str
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
     """The obstruction tests that fire on b, in the order alex,
@@ -205,9 +186,6 @@ class QuasipositivityVerdict:
     obstructions: tuple[Obstruction, ...] = ()
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:
     e = exponent_sum(b)
@@ -231,23 +209,3 @@ def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:
         return QuasipositivityVerdict("not_quasipositive", m, e, fired)
     note = "" if e != 1 else "e = 1 noted; obstruction suite is sound but incomplete"
     return QuasipositivityVerdict("unknown", m, e, note=note)
-
-
-def burau_determinant_check(m: int) -> bool:
-    """det(rho(sigma_i)) = -t for every generator; pins the convention."""
-    minus_t = LaurentPoly.term(-1, 1)
-    return all(_det(reduced_burau(BraidWord(m, (i,)))) == minus_t for i in range(1, m))
-
-
-__all__ = [
-    "ConventionError",
-    "Obstruction",
-    "QuasipositivityVerdict",
-    "alexander_polynomial",
-    "burau_determinant_check",
-    "mat_mul",
-    "determinant_of_closure",
-    "obstructions",
-    "quasipositivity_verdict",
-    "reduced_burau",
-]

@@ -57,10 +57,6 @@ class LaurentPoly:
     def term(coeff: int, exp: int = 0) -> LaurentPoly:
         return LaurentPoly({exp: coeff})
 
-    @staticmethod
-    def t() -> LaurentPoly:
-        return LaurentPoly({1: 1})
-
     # -- basics -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -157,9 +153,6 @@ class LaurentPoly:
         if shifted.coeffs[shifted.highest_exp()] < 0:
             shifted = -shifted
         return shifted
-
-    def derivative(self) -> LaurentPoly:
-        return LaurentPoly({e - 1: e * c for e, c in self.coeffs.items() if e != 0})
 
     def dense_int_coeffs(self) -> list[int]:
         """Coefficients of the unit-normalised polynomial from degree 0 up."""
@@ -261,17 +254,6 @@ def gcd_primitive(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise LaurentError("gcd of two zero polynomials")
     g = _dense_gcd(p.dense_int_coeffs(), q.dense_int_coeffs())
     return _primitive(LaurentPoly(dict(enumerate(g))))
-
-
-def multiplicity_one_part(p: LaurentPoly) -> LaurentPoly:
-    """The product of the linear factors of p of multiplicity exactly one:
-    s1 = (p/g) / gcd(p/g, g) with g = gcd(p, p')."""
-    if p.is_zero():
-        raise LaurentError("multiplicity-one part of the zero polynomial")
-    p = _primitive(p)
-    g = gcd_primitive(p, p.derivative())
-    h = _primitive(divide_exact(p, g))
-    return _primitive(divide_exact(h, gcd_primitive(h, g)))
 
 
 # -- exact unit-circle test ----------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .braid import MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce
@@ -149,14 +150,9 @@ def parse_scheme(text: str) -> LScheme:
 
 def render_scheme(ls: LScheme) -> str:
     parts = [f"n={ls.surface_index} m={ls.strands};"]
-    i = 0
-    while i < len(ls.events):
-        j = i
-        while j < len(ls.events) and ls.events[j] == ls.events[i]:
-            j += 1
-        token = ls.events[i].token()
-        parts.append(token if j - i == 1 else f"{token}^{j - i}")
-        i = j
+    for ev, group in groupby(ls.events):
+        run = len(list(group))
+        parts.append(ev.token() if run == 1 else f"{ev.token()}^{run}")
     return " ".join(parts)
 
 
@@ -354,15 +350,12 @@ def _r_encoding(ls: LScheme) -> list[Event]:
     if not ls.is_closed_scheme():
         raise LSchemeError("trigonal encodings need a closed scheme")
     out: list[Event] = []
-    for ev in ls.events:
+    for ev in _expand_ovals(ls.events):
         if ev.kind in "/\\":
             raise LSchemeError("trigonal encodings do not admit divisor events")
         if ev.kind == "x":
             out.append(Event(">", ev.index))
             out.append(Event("<", ev.index))
-        elif ev.kind == "o":
-            out.append(Event("<", ev.index))
-            out.append(Event(">", ev.index))
         else:
             out.append(ev)
     return out

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .braid import MAX_WORD_LENGTH
+
 Forest = tuple  # recursively: tuple of ovals, each oval a Forest of children
 
 CATEGORIES = (
@@ -70,12 +72,15 @@ _ITEM = re.compile(r"(\d+)([pm]?)")
 
 class _SchemeParser:
     """``<J + item + ...>``, where an item is a count, a p/m sign when the
-    scheme is signed, and an optional nested ``<item + ...>`` group."""
+    scheme is signed, and an optional nested ``<item + ...>`` group. A
+    scheme of more than MAX_WORD_LENGTH ovals, nested copies included,
+    is refused before it is built."""
 
     def __init__(self, text: str, signed: bool):
         self.text = text
         self.pos = 0
         self.signed = signed
+        self.size = 0  # ovals built so far
 
     def error(self, msg: str):
         raise SchemeError(f"{msg} at offset {self.pos} in {self.text!r}")
@@ -125,7 +130,11 @@ class _SchemeParser:
             self.error("complex schemes need a p/m sign on every oval")
         if not self.signed and sign:
             self.error("unexpected sign in a real scheme")
+        before = self.size
         children = self.group(after_item=False) if self.accept("<") else ()
+        self.size = before + count * (1 + self.size - before)
+        if self.size > MAX_WORD_LENGTH:
+            self.error(f"scheme of more than {MAX_WORD_LENGTH} ovals")
         node = (1 if sign == "p" else -1, children) if self.signed else children
         return [node] * count
 

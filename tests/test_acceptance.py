@@ -31,13 +31,14 @@ from ruledcurves.comb import WeightedComb, is_closed, mu_count, mu_exists, parse
 from ruledcurves.invariants import (
     alexander_polynomial,
     determinant_of_closure,
-    mat_mul,
     obstructions,
     reduced_burau,
 )
 from ruledcurves.laurent import LaurentPoly, format_poly, parse_poly
 from ruledcurves.lscheme import parse_scheme, render_root_scheme, root_scheme, to_braid
 from ruledcurves.schemes7 import enumerate_schemes, parse_real_scheme, realizable
+
+from matrices import mat_mul
 
 
 def obstruction(b, test):

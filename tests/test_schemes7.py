@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from ruledcurves.braid import MAX_WORD_LENGTH
 from ruledcurves.schemes7 import (
     CATEGORIES,
     SchemeError,
@@ -46,6 +49,22 @@ def test_grammar_errors():
         realizable(R("<J + 1<1<1<1>>>>"), "any")
     with pytest.raises(SchemeError):
         realizable(R("<J>"), "no-such-category")
+
+
+def test_oval_count_beyond_the_cap_is_refused():
+    # A few bytes of text, refused before the oval list is built; the
+    # nested count multiplies: 100000<100000> is 10^10 ovals.
+    for text in ("<J + 1000000000>", "<J + 100000<100000>>", "<J + 3000<3000>>",
+                 "<J + 60000 + 60000>", "<J + 2<2<50000>>>"):
+        start = time.perf_counter()
+        with pytest.raises(SchemeError, match=f"more than {MAX_WORD_LENGTH} ovals"):
+            R(text)
+        assert time.perf_counter() - start < 0.5, text
+    with pytest.raises(SchemeError, match="more than"):
+        parse_complex_scheme("<J + 1000000000p>:I")
+    assert len(R(f"<J + {MAX_WORD_LENGTH}>").ovals) == MAX_WORD_LENGTH
+    assert len(R("<J + 999<99>>").ovals) == 999
+    assert realizable(R("<J + 16>"), "any") is False
 
 
 def test_enumerate_cardinalities():
