@@ -7,8 +7,11 @@ A comb is a word over {1..6}; the unit comb is the empty word. A closure
 joins every g1 to a g2, every g3 to a g4 and every g5 to a g6 by
 pairwise non-crossing chords on the circular word; a g1-g2 chord must in
 addition connect the two parity classes of the word (parity of the
-number of generators of types 1..4 strictly before the position). These
-are the matching constraints the pruning balance laws are derived from.
+number of generators of types 1..4 strictly before the position). A
+comb is closed exactly when cancelling adjacent partners empties it, so
+one stack pass decides closure in O(length); the parity law then holds
+by itself. These are the matching constraints the pruning balance laws
+are derived from.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ Comb = tuple[int, ...]
 Matching = tuple[tuple[int, int], ...]
 
 _PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}
-_PAIR_OF = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}  # which of the three type pairs
 
 
 class CombError(ValueError):
@@ -60,58 +62,29 @@ def _parity_classes(word: Comb) -> list[int]:
     return parity
 
 
-def _pair_allowed(word: Comb, parity: list[int], i: int, j: int) -> bool:
-    if _PARTNER[word[i]] != word[j]:
-        return False
-    if _PAIR_OF[word[i]] == 0 and parity[i] == parity[j]:
-        return False
-    return True
-
-
-def _balanced(word: Comb, positions: list[int]) -> bool:
-    counts = [0, 0, 0]
-    for p in positions:
-        g = word[p]
-        counts[_PAIR_OF[g]] += 1 if g % 2 else -1
-    return counts == [0, 0, 0]
-
-
 def find_closure(word: Comb) -> Matching | None:
-    """Search for a closure matching; None when the comb is not closed.
+    """The closure matching, chords sorted by first position; None when
+    the comb is not closed.
 
     Chords of a perfect matching cross on the circle exactly when they
-    cross as linear intervals, so the search runs the classic
-    interval-splitting backtracking: the first open position pairs with
-    a compatible partner, and the inside and outside are matched
-    independently (each must be balanced in all three type pairs)."""
-    parity = _parity_classes(word)
-
-    def solve(positions: list[int]) -> Matching | None:
-        if not positions:
-            return ()
-        i = positions[0]
-        for idx in range(1, len(positions)):
-            j = positions[idx]
-            if not _pair_allowed(word, parity, i, j):
-                continue
-            inside = positions[1:idx]
-            outside = positions[idx + 1:]
-            if not _balanced(word, inside):
-                continue
-            left = solve(inside)
-            if left is None:
-                continue
-            right = solve(outside)
-            if right is None:
-                continue
-            return ((i, j),) + left + right
+    cross as linear intervals, and a non-crossing perfect matching always
+    has a chord between two adjacent letters. So a closure exists exactly
+    when cancelling adjacent partners (g1/g2, g3/g4, g5/g6, in either
+    order) empties the word. Cancellation is confluent, as free reduction
+    is, so one greedy stack pass decides it in O(length). The parity law
+    needs no check: the letters strictly inside a chord are matched among
+    themselves, so an even number of them have types 1..4, and the two
+    ends of a g1-g2 chord fall in different parity classes."""
+    open_positions: list[int] = []
+    chords: list[tuple[int, int]] = []
+    for j, letter in enumerate(word):
+        if open_positions and word[open_positions[-1]] == _PARTNER[letter]:
+            chords.append((open_positions.pop(), j))
+        else:
+            open_positions.append(j)
+    if open_positions:
         return None
-
-    if len(word) % 2:
-        return None
-    if not _balanced(word, list(range(len(word)))):
-        return None
-    return solve(list(range(len(word))))
+    return tuple(sorted(chords))
 
 
 @lru_cache(maxsize=200000)
@@ -181,23 +154,20 @@ def _feasible(w: WeightedComb) -> bool:
         # (g1 -> g3 directly, the g5 gamma-move in triples), and each
         # beta move adds two g4's. The identity is phase independent.
         return False
-    for y in range(0, g + 1):
-        x = g - y
-        if 3 * y > a:
-            continue
-        if d12 + 3 * x - (a - 3 * y) != 0:
-            continue
-        if y > n5 or x > n2:
-            # nothing ever creates a g2 or a g5
-            continue
-        if b > 0 and n5 - y < 1:
-            # beta moves rewrite a g5 in place; one must survive gamma
-            continue
-        if a - 3 * y > n1 + 2 * x:
-            # g1 -> g3 needs a g1; gamma g2-moves add two g1's each.
-            continue
-        return True
-    return False
+    if d12 + 3 * g != a:
+        # with x = g - y the first identity reads d12 + 3g - a = 0 for
+        # every split of the gamma moves
+        return False
+    # The rest bound y, the number of gamma-moves on g5:
+    #   3y <= alpha;
+    #   x <= n2 and y <= n5: nothing ever creates a g2 or a g5;
+    #   y <= n5 - 1 when beta > 0: beta moves rewrite a g5 in place, and
+    #     one must survive gamma;
+    #   alpha - 3y <= n1 + 2x: g1 -> g3 needs a g1, and gamma g2-moves add
+    #     two g1's each.
+    low = max(0, g - n2, a - n1 - 2 * g)
+    high = min(g, a // 3, n5 - (b > 0))
+    return low <= high
 
 
 def _parity_prune(w: WeightedComb) -> bool:
@@ -219,25 +189,32 @@ def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
     and so is memoising the capped counts, since
     min(cap, sum of counts) = min(cap, sum of capped counts)."""
     memo: dict[WeightedComb, int] = {}
-
-    def count(state: WeightedComb) -> int:
+    # The depth-first search keeps its own stack, so a chain may be longer
+    # than Python's recursion limit. One frame per state being counted:
+    # [state, successors not yet counted, count so far].
+    frames: list[list] = []
+    state = w
+    while True:
         if state in memo:
-            return memo[state]
-        if state.alpha == 0 and state.beta == 0 and state.gamma == 0:
-            result = 1 if is_closed(state.word) else 0
+            value = memo[state]
+        elif state.alpha == 0 and state.beta == 0 and state.gamma == 0:
+            value = memo[state] = 1 if is_closed(state.word) else 0
         elif prune and not (_feasible(state) and _parity_prune(state)):
-            result = 0
+            value = memo[state] = 0
         else:
-            result = 0
-            for s in chain_successors(state):
-                result += count(s)
-                if result >= enough:
-                    result = enough
-                    break
-        memo[state] = result
-        return result
-
-    return count(w)
+            frames.append([state, iter(chain_successors(state)), 0])
+            value = None
+        while frames:
+            frame = frames[-1]
+            if value is not None:
+                frame[2] = min(enough, frame[2] + value)
+            state = next(frame[1], None) if frame[2] < enough else None
+            if state is not None:
+                break
+            frames.pop()
+            value = memo[frame[0]] = frame[2]
+        else:
+            return value
 
 
 def mu_count(w: WeightedComb, prune: bool = True) -> int:

@@ -62,6 +62,13 @@ def test_rootscheme_comb_mu(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_mu_on_a_thousand_step_chain(capsys):
+    # One chain of 1,000 beta moves whose last comb closes; the chain
+    # search keeps its own stack, so Python's recursion limit does not bound it.
+    code, out, _ = run(capsys, "mu", "(g3)^1000 g5 (g3)^1000 g6 | 0 1000 0")
+    assert code == 0 and out.strip() == "true"
+
+
 def test_rewrite_command(capsys):
     code, out, _ = run(capsys, "rewrite", "n=0 m=4; x1 >3",
                        "--rules", "pseudo", "--rule", "cross-commute", "--position", "0")
@@ -140,6 +147,16 @@ def test_module_entry_point_matches_in_process_repro(capsys):
     _, out, _ = run(capsys, "repro", "--json")
     assert proc.stdout == out
     assert json.loads(proc.stdout)["failed"] == 0
+
+
+def test_module_entry_point_decides_a_long_closure():
+    # Closure takes one cancellation pass, so a 64-letter comb answers at once.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "ruledcurves.cli", "mu",
+                           "(g1 g2)^30 g3 g5 g4 g6 | 0 0 0"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "false"
 
 
 def test_usage_error_exit_code(capsys):

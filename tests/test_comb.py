@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -60,11 +62,17 @@ def test_closure_anchors():
     assert not is_closed((1,))
     assert not is_closed((1, 3, 2, 4))  # typed chords would have to cross
     assert not is_closed((5, 6, 6))  # unbalanced
+    # Closure is one cancellation pass, so its cost is linear at any size.
+    for word in ((1, 2) * 50_000, (1,) * 50_000 + (2,) * 50_000):
+        start = time.perf_counter()
+        assert len(find_closure(word)) == 50_000
+        assert time.perf_counter() - start < 1.0
 
 
 def test_closure_matching_properties():
     """Every returned matching satisfies the balance law for each chord
-    and the parity law for each g1-g2 chord, rechecked independently."""
+    and the parity law for each g1-g2 chord, rechecked independently, and
+    lists its chords by first position."""
     rng = random.Random(101)
     checked = 0
     words = [CLOSED_EXAMPLE]
@@ -75,6 +83,7 @@ def test_closure_matching_properties():
         if matching is None:
             continue
         checked += 1
+        assert list(matching) == sorted(matching)
         seen = set()
         for i, j in matching:
             assert {word[i], word[j]} in ({1, 2}, {3, 4}, {5, 6})
@@ -232,10 +241,16 @@ def _closed_by_brute_force(word):
 
 
 def test_is_closed_against_brute_force():
-    import itertools
     for length in range(0, 5):
         for word in itertools.product(range(1, 7), repeat=length):
             assert is_closed(word) == _closed_by_brute_force(word), word
+    balanced = [word for word in itertools.product(range(1, 7), repeat=6)
+                if all(word.count(low) == word.count(low + 1) for low in (1, 3, 5))]
+    closed = 0
+    for word in balanced:
+        closed += is_closed(word)
+        assert is_closed(word) == _closed_by_brute_force(word), word
+    assert (len(balanced), closed) == (1860, 876)
     rng = random.Random(113)
     for _ in range(300):
         word = tuple(rng.randint(1, 6) for _ in range(rng.choice((6, 8))))
