@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 
 Perm = tuple[int, ...]
@@ -107,10 +106,6 @@ def free_reduce(a: BraidWord) -> BraidWord:
 # left to right, so perm(ab) = compose_perm(perm(a), perm(b)) applies a first.
 
 
-def _identity_perm(m: int) -> Perm:
-    return tuple(range(m))
-
-
 def _w0(m: int) -> Perm:
     return tuple(range(m - 1, -1, -1))
 
@@ -149,7 +144,6 @@ def _flip(p: Perm) -> Perm:
     return _compose_perm(w0, _compose_perm(p, w0))
 
 
-@lru_cache(maxsize=None)
 def _perm_word(p: Perm) -> tuple[int, ...]:
     """A reduced word for the permutation braid of p, peeling left descents:
     p = s_i p' with l(p') = l(p) - 1."""
@@ -205,53 +199,44 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm]:
 
 
 def garside_normal_form(b: BraidWord) -> GarsideNormalForm:
+    """The left normal form, built incrementally (Epstein et al., Word
+    Processing in Groups, ch. 9). Each letter becomes one simple factor:
+    sigma_i the factor s_i, sigma_i^-1 the factor w0 s_i times Delta^-1,
+    and the Delta^-1 are commuted to the front, flipping every factor
+    with an odd number of them to its right. The factors are then
+    appended one at a time to a left-weighted sequence, left-weighting
+    adjacent pairs from the right end. In a left-weighted sequence the
+    Delta factors come first and the trivial factors last, so the sweep
+    stops at the first pair it leaves unchanged, drops a trivial last
+    factor and moves a leading Delta into the infimum. With k factors
+    that is at most k pair steps per appended factor."""
     m = b.strands
-    ident = _identity_perm(m)
     w0 = _w0(m)
-
-    # sigma_i       -> the factor s_i
-    # sigma_i^-1    -> Delta^-1 times the factor (w0 s_i); the Delta powers
-    # are commuted to the front afterwards with the flip automorphism.
-    factors: list[Perm] = []
-    delta_pows: list[int] = []
-    for letter in b.letters:
+    simple: list[Perm] = []
+    infimum = 0
+    for letter in reversed(b.letters):
         s = _transposition(m, abs(letter))
-        if letter > 0:
-            factors.append(s)
-            delta_pows.append(0)
-        else:
-            factors.append(_compose_perm(w0, s))
-            delta_pows.append(-1)
+        if letter < 0:
+            s = _compose_perm(w0, s)
+        simple.append(_flip(s) if infimum % 2 else s)
+        if letter < 0:
+            infimum -= 1
 
-    total = 0
-    for j in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[j] = _flip(factors[j])
-        total += delta_pows[j]
-
-    factors = [f for f in factors if f != ident]
-
-    # Left-weight adjacent pairs to a fixpoint, dropping identities and
-    # migrating full twists into the Delta power.
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(factors) - 1:
-            a2, b2 = _left_weight_pair(factors[i], factors[i + 1])
-            if (a2, b2) != (factors[i], factors[i + 1]):
-                changed = True
-                if b2 == ident:
-                    factors[i:i + 2] = [a2]
-                else:
-                    factors[i], factors[i + 1] = a2, b2
-            i += 1
-        while factors and factors[0] == w0:
+    factors: list[Perm] = []
+    for s in reversed(simple):
+        factors.append(s)
+        for j in range(len(factors) - 1, 0, -1):
+            pair = _left_weight_pair(factors[j - 1], factors[j])
+            if pair == (factors[j - 1], factors[j]):
+                break
+            factors[j - 1], factors[j] = pair
+        if factors[-1] == tuple(range(m)):
+            factors.pop()
+        if factors and factors[0] == w0:
             factors.pop(0)
-            total += 1
-            changed = True
+            infimum += 1
 
-    return GarsideNormalForm(m, total, tuple(factors))
+    return GarsideNormalForm(m, infimum, tuple(factors))
 
 
 def is_trivial(b: BraidWord) -> bool:

@@ -27,6 +27,7 @@ from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .braid import MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce
+from .comb import WeightedComb
 
 
 class LSchemeError(ValueError):
@@ -366,8 +367,6 @@ def _first_block_reduced(n: int, r: list[Event]) -> bool:
     last ascent matches the first descent, with the index flipped on odd
     n (the fiberwise order reverses through the fiber at infinity)."""
     first, last = r[0], r[-1]
-    if first.kind != ">" or last.kind != "<":
-        return False
     if n % 2 == 0:
         return last.index == first.index
     return _is_adjacent(last.index, first.index)
@@ -389,14 +388,11 @@ _PAIR_BLOCKS = {
 def _pair_blocks(n: int, r: list[Event]):
     """The blocks of the tangency encoding r: first the wrap-around pair
     (r_q, r_1), read as an ascent followed by a descent, then each
-    consecutive pair."""
+    consecutive pair. Every pair has a row: validation makes r alternate
+    > and <, from a > to a <, with indices in {1, 2}."""
     yield _PAIR_BLOCKS["<", ">", _first_block_reduced(n, r)]
     for prev, cur in zip(r, r[1:]):
-        key = (prev.kind, cur.kind, prev.index == cur.index)
-        if key not in _PAIR_BLOCKS or abs(prev.index - cur.index) > 1:
-            raise LSchemeError(
-                f"tangency encoding is not alternating near {prev.token()} {cur.token()}")
-        yield _PAIR_BLOCKS[key]
+        yield _PAIR_BLOCKS[prev.kind, cur.kind, prev.index == cur.index]
 
 
 RootScheme = tuple[tuple[str, int], ...]
@@ -416,13 +412,18 @@ def render_root_scheme(rs: RootScheme) -> str:
     return " ".join(f"{letter}{mult}" for letter, mult in rs)
 
 
-def weighted_comb(ls: LScheme):
+def weighted_comb(ls: LScheme) -> WeightedComb:
     """The weighted comb associated to a trigonal scheme; the final
     weights are halved (they count vertices per conjugate half). The
     empty scheme maps to the unit comb with unhalved weights, the
-    degenerate realizable case."""
-    from .comb import WeightedComb
+    degenerate realizable case.
 
+    The halving is exact. Each of the |r| blocks debits alpha by 1, so
+    alpha = 6n - |r| with |r| even (r runs from a > to a <); gamma is
+    debited by 2 only; beta = 3n minus the number of mixed-index blocks,
+    which is = n (mod 2): r has an even number of cyclic index changes,
+    and the wrap-around block is mixed at a change on even n and at no
+    change on odd n."""
     n = ls.surface_index
     alpha, beta, gamma = 6 * n, 3 * n, 2 * n
     r = _r_encoding(ls)
@@ -438,8 +439,4 @@ def weighted_comb(ls: LScheme):
             raise LSchemeError(
                 f"comb weights go negative ({alpha},{beta},{gamma}): "
                 f"the scheme is not realizable on this surface index")
-    if alpha % 2 or beta % 2 or gamma % 2:
-        raise LSchemeError(
-            f"odd final comb weights ({alpha},{beta},{gamma}): "
-            f"the scheme is not realizable on this surface index")
     return WeightedComb(tuple(word), alpha // 2, beta // 2, gamma // 2)

@@ -7,6 +7,7 @@ from ruledcurves.braid import (
     MAX_STRANDS,
     MAX_WORD_LENGTH,
     BraidError,
+    BraidWord,
     compose,
     conjugate,
     delta,
@@ -24,11 +25,18 @@ from ruledcurves.braid import (
 )
 
 
-def random_word(rng, m=None, max_len=20):
+def random_word(rng, m=None, max_len=20, min_len=0):
     m = m or rng.randint(2, 5)
     letters = [rng.choice((1, -1)) * rng.randint(1, m - 1)
-               for _ in range(rng.randint(0, max_len))]
+               for _ in range(rng.randint(min_len, max_len))]
     return word(m, letters)
+
+
+def long_words(rng, count=30):
+    """Words on 3 to 6 strands of 40 to 80 letters: long enough for many
+    factors, so the normal form's sweep runs through long sequences."""
+    return [random_word(rng, m=rng.randint(3, 6), min_len=40, max_len=80)
+            for _ in range(count)]
 
 
 def test_delta():
@@ -65,6 +73,10 @@ def test_compose_inverse_conjugate():
     assert exponent_sum(conjugate(word(3, [2]), word(3, [1]))) == 1
     with pytest.raises(BraidError):
         compose(word(2, [1]), word(3, [1]))
+    with pytest.raises(BraidError, match="strand count mismatch"):
+        equals(word(2, [1]), word(3, [1]))
+    with pytest.raises(BraidError, match="letter 3 out of range for 3 strands"):
+        BraidWord(3, (3,))
 
 
 def test_exponent_sum_homomorphism():
@@ -114,8 +126,7 @@ def test_normal_form_identity_characterisation():
 
 def test_normal_form_factors_are_proper():
     rng = random.Random(13)
-    for _ in range(150):
-        b = random_word(rng)
+    for b in [random_word(rng) for _ in range(150)] + long_words(rng):
         nf = garside_normal_form(b)
         m = b.strands
         ident = tuple(range(m))
@@ -127,8 +138,7 @@ def test_normal_form_factors_are_proper():
 def test_normal_form_left_weighted():
     # finishing set of each factor contains the starting set of the next
     rng = random.Random(17)
-    for _ in range(150):
-        b = random_word(rng)
+    for b in [random_word(rng) for _ in range(150)] + long_words(rng):
         nf = garside_normal_form(b)
         for f, g in zip(nf.factors, nf.factors[1:]):
             inv_f = [0] * len(f)
@@ -141,10 +151,29 @@ def test_normal_form_left_weighted():
 
 def test_normal_form_idempotent():
     rng = random.Random(19)
-    for _ in range(200):
-        b = random_word(rng)
+    for b in [random_word(rng) for _ in range(200)] + long_words(rng):
         nf = garside_normal_form(b)
         assert garside_normal_form(nf.to_word()) == nf
+
+
+def test_normal_form_delta_power_law():
+    # NF(Delta^k w) = Delta^(inf+k) A_1 ... A_r, and w Delta^k = Delta^k
+    # w' with w' = w conjugated k times by Delta, which flips each factor
+    def flip(p):
+        m = len(p)
+        return tuple(m - 1 - p[m - 1 - x] for x in range(m))
+
+    rng = random.Random(41)
+    for b in [random_word(rng) for _ in range(40)] + long_words(rng, count=10):
+        nf = garside_normal_form(b)
+        flipped = tuple(map(flip, nf.factors))
+        for k in (-1, 1, 2):
+            d = power(delta(b.strands), k)
+            left = garside_normal_form(compose(d, b))
+            right = garside_normal_form(compose(b, d))
+            assert (left.infimum, left.factors) == (nf.infimum + k, nf.factors)
+            assert (right.infimum, right.factors) == \
+                (nf.infimum + k, flipped if k % 2 else nf.factors)
 
 
 def _tietze_component(start, max_len, cap=4000):

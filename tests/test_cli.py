@@ -48,6 +48,10 @@ def test_obstruct_command(capsys):
     payload = json.loads(out)
     assert payload["status"] == "not_quasipositive"
     assert payload["obstructions"][0]["test"] == "alex"
+    code, out, _ = run(capsys, "obstruct", "strands=3; s1")
+    assert code == 0
+    assert out.splitlines() == [
+        "status: unknown", "note: e = 1 noted; obstruction suite is sound but incomplete"]
 
 
 def test_rootscheme_comb_mu(capsys):
@@ -227,6 +231,8 @@ GOOD_FIXTURE = "good | braid | strands=3; s2^-7 s1 s2 D^2 | det=10 | check"
     ("bad | comb | g5 g2 \\| x | mu_count=0 | check", "expected three weights"),
     ("bad | scheme-query | <J + > :: any | realizable=true | check",
      "expected an oval count at offset 5 in '<J + >'"),
+    ("bad | scheme-query | <J + 4> :: any | count=1 | check",
+     "count assertion needs an enumerate input, got '<J + 4>'"),
 ])
 def test_repro_refusals_fail_only_their_fixture(tmp_path, capsys, line, failure):
     path = tmp_path / "registry.txt"

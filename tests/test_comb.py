@@ -42,6 +42,10 @@ def test_parse_render():
         parse_weighted_comb("g1 g2")
     with pytest.raises(CombError):
         WeightedComb((1,), -1, 0, 0)
+    with pytest.raises(CombError, match="generators 1..6"):
+        WeightedComb((7,), 0, 0, 0)
+    with pytest.raises(CombError, match="bad weights"):
+        parse_weighted_comb("g1 g2 | a b c")
 
 
 def test_parse_comb_groups_and_cap():

@@ -90,6 +90,10 @@ def test_divide_exact():
         divide_exact(P("t + 2"), P("t - 1"))
     with pytest.raises(LaurentError):
         divide_exact(P("t"), LaurentPoly.zero())
+    with pytest.raises(LaurentError, match="inexact polynomial division"):
+        divide_exact(P("t^2 + 1"), P("2*t"))
+    with pytest.raises(LaurentError, match="negative powers"):
+        P("t + 1") ** -1
 
 
 def test_divide_exact_roundtrip():
@@ -277,6 +281,10 @@ def test_text_round_trip():
         parse_poly("t^^2")
     with pytest.raises(LaurentError):
         parse_poly("(t-1")
+    with pytest.raises(LaurentError, match="expected a monomial"):
+        parse_poly("+")
+    with pytest.raises(LaurentError, match="trailing input in polynomial"):
+        parse_poly("t )")
 
 
 def test_parse_refuses_wide_powers_and_products():

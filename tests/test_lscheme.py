@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -46,6 +47,23 @@ def test_parse_errors():
         parse_scheme("n=0 m=3; o1^1000000000")  # refused before expansion
     with pytest.raises(LSchemeError, match="longer than"):
         parse_scheme(f"n=0 m=3; o1^{MAX_WORD_LENGTH} x1")
+    for text, message in (
+            ("n=0 m=3; >1 <1 <1", "event 2 (<1): tangency up needs the reduced count"),
+            ("n=0 m=3; >1 <3", "event 1 (<3): index out of range"),
+            ("n=0 m=3; >1 <1 o1", "event 2 (o1): solitary double point needs the reduced count"),
+            ("n=0 m=3; >1 o3 <1", "event 1 (o3): index out of range"),
+            ("n=0 m=3; x1^0", "bad repetition in token 'x1^0'")):
+        with pytest.raises(LSchemeError, match=re.escape(message)):
+            parse_scheme(text)
+
+
+def test_direct_construction_refusals():
+    with pytest.raises(LSchemeError, match="unknown event kind 'z'"):
+        LScheme(0, 3, (Event("z", 1),))
+    with pytest.raises(LSchemeError, match="surface index must be nonnegative"):
+        LScheme(-1, 3, ())
+    with pytest.raises(LSchemeError, match="at least 2 strands"):
+        LScheme(0, 1, ())
 
 
 def test_header_numbers_are_capped():
@@ -280,6 +298,10 @@ def test_root_scheme_structure():
 def test_root_scheme_rejects_non_trigonal():
     with pytest.raises(LSchemeError):
         root_scheme(parse_scheme("n=0 m=4; >1 <1"))
+    with pytest.raises(LSchemeError, match="need a closed scheme"):
+        root_scheme(parse_scheme("n=0 m=3; >1"))
+    with pytest.raises(LSchemeError, match="do not admit divisor events"):
+        weighted_comb(parse_scheme("n=0 m=3; /"))
 
 
 def test_weighted_comb_examples():
@@ -337,6 +359,45 @@ def test_weighted_comb_nonnegative_on_valid_input():
         built += 1
         assert w.alpha >= 0 and w.beta >= 0 and w.gamma >= 0
     assert built > 40
+
+
+def _closed_trigonal_events(max_events):
+    """Every closed m = 3 event sequence without divisor events of at most
+    max_events events."""
+    full = ((">", 1, False), (">", 2, False), ("x", 1, True), ("x", 2, True))
+    reduced = (("<", 1, True), ("<", 2, True), ("o", 1, False), ("o", 2, False))
+    out, stack = [], [((), True)]
+    while stack:
+        events, at_full = stack.pop()
+        if at_full:
+            out.append(events)
+        if len(events) < max_events:
+            stack.extend((events + (Event(kind, index),), after)
+                         for kind, index, after in (full if at_full else reduced))
+    return out
+
+
+def test_trigonal_encodings_on_every_small_closed_scheme():
+    """Every closed m = 3 scheme with n <= 2 and at most 6 events has a
+    root scheme, and a comb unless its weights go negative. The final
+    weights are exactly half the weights left after the block debits,
+    read back from the comb letters: each block debits alpha by 1, a g5
+    block beta by 1, a g6 g1 g4 g1 g6 block beta by 1 and gamma by 2."""
+    schemes = [LScheme(n, 3, events)
+               for n in range(3) for events in _closed_trigonal_events(6)]
+    assert len(schemes) == 8193
+    for ls in schemes:
+        root_scheme(ls)
+        try:
+            w = weighted_comb(ls)
+        except LSchemeError as exc:
+            assert str(exc).startswith("comb weights go negative"), render_scheme(ls)
+            continue
+        if ls.events:
+            n, count = ls.surface_index, w.word.count
+            left = (6 * n - count(2) - count(3) - count(5) - count(4),
+                    3 * n - count(5) - count(4), 2 * n - 2 * count(4))
+            assert left == (2 * w.alpha, 2 * w.beta, 2 * w.gamma), render_scheme(ls)
 
 
 def test_divisor_events_need_three_strands_in_reduced_region():

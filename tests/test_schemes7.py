@@ -17,8 +17,25 @@ from ruledcurves.schemes7 import (
 )
 
 
+# The deep nest printed in the source's dividing list. No degree-7 curve
+# has it (test_bezout_bounds_every_enumerated_scheme); the dividing table
+# lists the hyperbolic <J + 1<1<1>>> in its place.
+SOURCE_MISPRINTS = {"dividing": "<J + 1 + 1<1<1>>>"}
+
+
 def R(text):
     return parse_real_scheme(text)
+
+
+def _root_paths(forest):
+    """(longest root path, most ovals on the union of two root paths) in
+    a nesting forest. A line through points inside the two innermost
+    ovals of such a pair crosses each oval on the union twice and the
+    odd component once."""
+    below = [(1 + deep, 1 + union) for deep, union in map(_root_paths, forest)]
+    depths = sorted((deep for deep, _ in below), reverse=True)
+    return (depths[0] if depths else 0,
+            max([sum(depths[:2])] + [union for _, union in below]))
 
 
 def test_parse_render():
@@ -30,6 +47,8 @@ def test_parse_render():
         R("<K + 1>")
     with pytest.raises(SchemeError):
         R("<J + 1<2>")
+    with pytest.raises(SchemeError, match="trailing input at offset 4"):
+        R("<J> x")
 
 
 def test_realizable_examples():
@@ -106,14 +125,12 @@ def test_algebraic_is_pseudoholomorphic_minus_two():
 
 
 def test_dividing_union_containment():
-    """Both refinement lists sit inside the master list, except for the
-    deep nest recorded verbatim in the dividing table, which the master
-    list states with one fewer outer oval."""
+    """Both refinement lists sit inside the master list."""
     anything = {render_real_scheme(c) for c in enumerate_schemes("any")}
     dividing = {render_real_scheme(c) for c in enumerate_schemes("dividing")}
     nondividing = {render_real_scheme(c) for c in enumerate_schemes("non-dividing")}
     assert nondividing <= anything
-    assert dividing - anything == {"<J + 1 + 1<1<1>>>"}
+    assert dividing <= anything
     # schemes in both refinement lists exist
     assert dividing & nondividing
 
@@ -124,10 +141,18 @@ def test_dividing_parity():
         return sum(1 + count(o) for o in forest)
 
     for code in enumerate_schemes("dividing"):
-        text = render_real_scheme(code)
-        if text == "<J + 1 + 1<1<1>>>":
-            continue
-        assert count(code.ovals) % 2 == 1, text
+        assert count(code.ovals) % 2 == 1, render_real_scheme(code)
+
+
+def test_bezout_bounds_every_enumerated_scheme():
+    # a line meets a degree-7 curve in at most 7 points
+    for category in CATEGORIES:
+        for code in enumerate_schemes(category):
+            assert 2 * _root_paths(code.ovals)[1] + 1 <= 7, \
+                (category, render_real_scheme(code))
+    for category, text in SOURCE_MISPRINTS.items():
+        assert 2 * _root_paths(R(text).ovals)[1] + 1 == 9
+        assert text not in map(render_real_scheme, enumerate_schemes(category))
 
 
 def test_symmetric_containments():
