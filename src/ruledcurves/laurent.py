@@ -73,6 +73,9 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its integer (__eq__), so it hashes like one
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:

@@ -121,6 +121,71 @@ def test_det_pivoting_cases(rows, expected):
     assert _det(mat) == leibniz
 
 
+def coefficient_bound(mat):
+    """H = prod over rows of max(1, sum of the entries' absolute
+    coefficients): no coefficient of any minor exceeds it."""
+    bound = 1
+    for row in mat:
+        bound *= max(1, sum(abs(c) for x in row for c in x.coeffs.values()))
+    return bound
+
+
+def wide_laurent(rng):
+    """Zero, or up to four terms with exponents in -40..40 and
+    coefficients up to +-2^70."""
+    if rng.random() < 0.2:
+        return LaurentPoly.zero()
+    return LaurentPoly({rng.randint(-40, 40): rng.choice((1, -1)) * rng.randint(1, 2**70)
+                        for _ in range(rng.randint(1, 4))})
+
+
+def wide_monomial(rng, bits=70):
+    return LaurentPoly.term(rng.choice((1, -1)) * rng.randint(1, 2**bits), rng.randint(-40, 40))
+
+
+def test_det_packing_against_leibniz():
+    # Wide coefficients and exponent ranges, then one whole row and one
+    # whole column moved to t-valuation +-40, so that the minors carry
+    # powers of t that the packed integers strip.
+    rng = random.Random(67)
+    one = LaurentPoly.one()
+    for n in range(1, 6):
+        for _ in range(10 if n < 5 else 4):
+            mat = [[wide_laurent(rng) for _ in range(n)] for _ in range(n)]
+            r, c = rng.randrange(n), rng.randrange(n)
+            mat[r] = [x.shift(rng.choice((-40, 40))) for x in mat[r]]
+            shift = rng.choice((-40, 40))
+            for row in mat:
+                row[c] = row[c].shift(shift)
+            mat = tuple(tuple(row) for row in mat)
+            assert _det(mat) == leibniz_det(mat, one)
+
+
+def test_det_packing_at_the_coefficient_bound():
+    # A monomial matrix (one nonzero monomial per row and column, diagonal
+    # or row-permuted) has a one-term determinant whose coefficient is
+    # +-H, the bound the digit width is chosen from. Triangular monomial
+    # matrices (upper, lower, and upper with its rows reversed, which
+    # needs row swaps) keep the diagonal's product as their determinant,
+    # below H only by the off-diagonal coefficients of at most 4.
+    rng = random.Random(71)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    for n in range(1, 6):
+        for bits in (1, 8, 31, 64, 70):
+            diagonal = [wide_monomial(rng, bits) for _ in range(n)]
+            perm = rng.sample(range(n), n)
+            mat = tuple(tuple(diagonal[r] if c == perm[r] else zero for c in range(n))
+                        for r in range(n))
+            det = leibniz_det(mat, one)
+            assert [abs(c) for c in det.coeffs.values()] == [coefficient_bound(mat)]
+            assert _det(mat) == det
+            upper = tuple(tuple(diagonal[r] if c == r else
+                                wide_monomial(rng, 2) if c > r else zero
+                                for c in range(n)) for r in range(n))
+            for tri in (upper, tuple(zip(*upper)), upper[::-1]):
+                assert _det(tri) == leibniz_det(tri, one)
+
+
 def test_burau_against_block_matrix_products():
     # The column action of reduced_burau against a full product of the
     # one-letter block matrices of the docstring convention.
@@ -177,13 +242,11 @@ def unit_at(r, t):
     return (1 if r > 0 else -1, k) if num == den == 1 else None
 
 
-def test_alexander_at_twelve_strands_against_evaluated_blocks():
-    # det(rho(b) - I) / (1 + t + ... + t^(m-1)) at t = 2 and 3, from
-    # integer-evaluated block matrices and rational elimination, is the
-    # Alexander polynomial times one unit +-t^k at both points.
-    rng = random.Random(61)
-    m = 12
-    b = word(m, [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(100)])
+def assert_alexander_matches_evaluated_blocks(b):
+    """det(rho(b) - I) / (1 + t + ... + t^(m-1)) at t = 2 and 3, from
+    integer-evaluated block matrices and rational elimination, is the
+    Alexander polynomial times one unit +-t^k at both points."""
+    m = b.strands
     delta_b = alexander_polynomial(b)
     units = set()
     for t in (2, 3):
@@ -197,6 +260,30 @@ def test_alexander_at_twelve_strands_against_evaluated_blocks():
         assert rhs != 0
         units.add(unit_at(rhs / delta_b.eval_at(t), t))
     assert len(units) == 1 and None not in units
+
+
+def random_letters(rng, m, length):
+    return [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(length)]
+
+
+def test_alexander_at_twelve_strands_against_evaluated_blocks():
+    rng = random.Random(61)
+    assert_alexander_matches_evaluated_blocks(word(12, random_letters(rng, 12, 100)))
+
+
+def test_alexander_at_sixteen_strands_against_evaluated_blocks():
+    # Long enough that the packed digits of the determinant are wider
+    # than 128 bits and the Bareiss minors carry powers of t to strip.
+    rng = random.Random(73)
+    b = word(16, random_letters(rng, 16, 120))
+    rho = reduced_burau(b)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    diff = [[x - (one if r == c else zero) for c, x in enumerate(row)]
+            for r, row in enumerate(rho)]
+    assert coefficient_bound(diff).bit_length() + 1 > 128
+    start = time.perf_counter()
+    assert_alexander_matches_evaluated_blocks(b)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_burau_determinant_convention():

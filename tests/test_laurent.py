@@ -44,6 +44,16 @@ def test_mul_examples():
     assert p * LaurentPoly.zero() == LaurentPoly.zero()
 
 
+def test_hash_agrees_with_equality():
+    # a constant polynomial equals its integer, so it must hash like it
+    for value, poly in ((0, LaurentPoly.zero()), (1, LaurentPoly.one()), (-3, P("-3"))):
+        assert poly == value and hash(poly) == hash(value)
+        assert {poly} == {value} and {value: "x"}[poly] == "x"
+    p = P("2*t^3 - t^-1 + 5")
+    assert hash(p) == hash(P("5 - t^-1 + 2*t^3")) and p != 5
+    assert len({p, P("5 - t^-1 + 2*t^3"), P("5"), 5}) == 2
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240)
     for _ in range(300):
