@@ -69,6 +69,54 @@ def reduced_burau(b: BraidWord) -> Matrix:
     return tuple(tuple(LaurentPoly(cols[c][r]) for c in range(n)) for r in range(n))
 
 
+# The point at which _burau_mod_p evaluates t. 2^61 - 1 is prime, and 37
+# generates its multiplicative group, so t^s = 1 only when p - 1 divides
+# s. At t = 2, of order 61, the nontrivial sigma_1^122 sigma_2^-122 in
+# B_3 maps to I.
+_BURAU_PRIME = (1 << 61) - 1
+_BURAU_POINT = 37
+# _LETTER_ACTION at that point: indexed by letter > 0, the residues of
+# sign * t^shift for the column offsets -1, 0, 1.
+_ACTION_MOD_P = tuple(
+    tuple(sign * pow(_BURAU_POINT, shift, _BURAU_PRIME) % _BURAU_PRIME
+          for _, shift, sign in sorted(_LETTER_ACTION[key]))
+    for key in (-1, 1)
+)
+
+
+def _burau_mod_p(b: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """reduced_burau(b) with t = _BURAU_POINT, reduced modulo
+    _BURAU_PRIME, entry by entry, in the same layout.
+
+    The same product from the same _LETTER_ACTION table, with each
+    t^shift replaced by its residue: O(m) small-integer operations per
+    letter and no polynomial arithmetic. Evaluation at an invertible
+    residue is a ring homomorphism from Z[t, t^-1] to Z/_BURAU_PRIME, so
+    this is the image of b in GL_{m-1}(Z/_BURAU_PRIME)."""
+    n, p = b.strands - 1, _BURAU_PRIME
+    zero = [0] * n
+    # cols[k] is column k-1; the zero columns 0 and n+1 stand for the
+    # neighbours outside 0..m-2.
+    cols = [zero, *([int(r == c) for r in range(n)] for c in range(n)), zero]
+    for letter in b.letters:
+        k = abs(letter)
+        left, mid, right = _ACTION_MOD_P[letter > 0]
+        cols[k] = [(left * x + mid * y + right * z) % p
+                   for x, y, z in zip(cols[k - 1], cols[k], cols[k + 1])]
+    return tuple(zip(*cols[1:-1]))
+
+
+def _burau_witness(b: BraidWord) -> tuple[int, int, int] | None:
+    """The first entry (row, column, value), in row-major order, at which
+    _burau_mod_p(b) differs from the identity; None when it is I. Such an
+    entry proves b nontrivial, since _burau_mod_p is a homomorphism."""
+    for r, row in enumerate(_burau_mod_p(b)):
+        for c, value in enumerate(row):
+            if value != int(r == c):
+                return r, c, value
+    return None
+
+
 def _pack(p: LaurentPoly, k: int) -> tuple[int, int]:
     """(v, p(X) / X^v) with v the valuation of p and X = 2^k, by Horner's
     rule; (0, 0) for zero."""
@@ -267,16 +315,42 @@ class QuasipositivityVerdict:
 
 
 def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:
+    """The verdict of the obstruction suite on b, with e = e(b) its
+    exponent sum and m its strand count.
+
+    - e < 0: not quasipositive (negative_exponent), since a product of
+      conjugates of positive generators has e >= 0.
+    - e = 0: a quasipositive braid is then the empty product, so b is
+      quasipositive exactly when it is trivial. Two steps decide it:
+      1. The reduced Burau image modulo a prime (_burau_witness), in
+         O(m * L) small-integer operations for L letters. An entry that
+         differs from I proves b nontrivial, because evaluation at t is
+         a ring homomorphism. The verdict is exponent_zero, and its
+         witness names the prime, t and the entry, 0-based in
+         reduced_burau(b).
+      2. Only an identity image goes to the Garside normal form
+         (is_trivial), O(k^2) pair steps for k factors. That step is
+         needed: Burau is not faithful for m >= 5, and distinct Laurent
+         entries can agree modulo the prime. It certifies a trivial b or
+         gives exponent_zero with the witness "nontrivial Garside normal
+         form".
+    - e > 0: not quasipositive when an Alexander test fires
+      (obstructions), unknown otherwise."""
     e = exponent_sum(b)
     m = b.strands
     if e == 0:
-        if is_trivial(b):
+        entry = _burau_witness(b)
+        if entry is None and is_trivial(b):
             return QuasipositivityVerdict(
                 "quasipositive_certified", m, e, note="trivial braid with e = 0")
+        if entry is None:
+            witness = "nontrivial Garside normal form"
+        else:
+            r, c, value = entry
+            witness = (f"reduced Burau image at t = {_BURAU_POINT} mod {_BURAU_PRIME}:"
+                       f" entry ({r}, {c}) = {value}, not {int(r == c)}")
         return QuasipositivityVerdict(
-            "not_quasipositive", m, e,
-            (Obstruction("exponent_zero", m, e,
-                         "nontrivial Garside normal form"),),
+            "not_quasipositive", m, e, (Obstruction("exponent_zero", m, e, witness),),
             note="a quasipositive braid with e = 0 is trivial")
     if e < 0:
         return QuasipositivityVerdict(

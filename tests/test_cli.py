@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,25 @@ def test_obstruct_command(capsys):
     assert code == 0
     assert out.splitlines() == [
         "status: unknown", "note: e = 1 noted; obstruction suite is sound but incomplete"]
+
+
+def test_obstruct_command_prints_the_burau_witness(capsys):
+    # s1 s2^-1 has e = 0; its Burau image at t = 37 mod 2^61 - 1 has
+    # (0, 0) entry -t, so Garside never runs.
+    witness = ("reduced Burau image at t = 37 mod 2305843009213693951:"
+               f" entry (0, 0) = {(1 << 61) - 1 - 37}, not 1")
+    code, out, _ = run(capsys, "obstruct", "strands=3; s1 s2^-1")
+    assert code == 0
+    assert out.splitlines() == [
+        "status: not_quasipositive",
+        f"obstruction exponent_zero: e=0 m=3 witness={witness}",
+        "note: a quasipositive braid with e = 0 is trivial"]
+    code, out, _ = run(capsys, "obstruct", "strands=3; s1 s2^-1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "not_quasipositive"
+    assert payload["obstructions"] == [
+        {"test": "exponent_zero", "strands": 3, "exponent_sum": 0, "witness": witness}]
 
 
 def test_rootscheme_comb_mu(capsys):
@@ -202,6 +222,14 @@ def test_repro_json_stable_and_round_trips(capsys):
     names = [f["name"] for f in report["fixtures"]]
     assert names == sorted(names)
     assert json.loads(json.dumps(report, sort_keys=True)) == report
+
+
+def test_repro_json_md5_is_pinned(capsys):
+    # The value every ROADMAP "done when" cites; a change to any fixture's
+    # computed text or to the report layout changes it.
+    code, out, _ = run(capsys, "repro", "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "11b8a96f2444421952e984e5a5aa7b36"
 
 
 def test_repro_detects_failures(tmp_path, capsys):

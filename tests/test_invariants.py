@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -9,13 +11,19 @@ import pytest
 from ruledcurves.braid import (
     compose,
     conjugate,
+    exponent_sum,
     identity,
     inverse,
+    is_trivial,
     parse_braid,
     word,
 )
 from ruledcurves.invariants import (
+    _BURAU_POINT,
+    _BURAU_PRIME,
     ConventionError,
+    _burau_mod_p,
+    _burau_witness,
     _det,
     _determinant,
     _is_perfect_square,
@@ -409,6 +417,123 @@ def test_soundness_on_trivial_braids():
         assert obstruction(b, "alex") is None
         assert obstruction(b, "double_alex") is None
         assert obstruction(b, "square") is None
+
+
+# -- e = 0: the Burau certificate modulo a prime, then Garside ------------
+
+P = (1 << 61) - 1
+# p - 1 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
+P_MINUS_1_FACTORS = {2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1, 61: 1,
+                     151: 1, 331: 1, 1321: 1}
+BURAU_WITNESS = re.compile(
+    r"reduced Burau image at t = (\d+) mod (\d+): entry \((\d+), (\d+)\) = (\d+), not ([01])")
+
+
+def evaluated_burau(b, t=37):
+    """reduced_burau(b) evaluated at t modulo 2^61 - 1, entry by entry."""
+    return tuple(tuple(sum(c * pow(t, e, P) for e, c in entry.coeffs.items()) % P
+                       for entry in row)
+                 for row in reduced_burau(b))
+
+
+def first_non_identity(rows):
+    """(row, column, value) of the first entry, in row-major order, that
+    differs from the identity's; None for the identity."""
+    return next(((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)
+                 if v != int(r == c)), None)
+
+
+def rederive_burau_witness(b, witness):
+    """Checks that witness names the first entry, in row-major order, at
+    which reduced_burau(b) at t = 37 mod 2^61 - 1 differs from I."""
+    match = BURAU_WITNESS.fullmatch(witness)
+    assert match, witness
+    t, p, r, c, value, diagonal = map(int, match.groups())
+    assert (t, p, diagonal) == (37, P, int(r == c))
+    assert first_non_identity(evaluated_burau(b)) == (r, c, value)
+
+
+def bigelow_kernel_element():
+    """Bigelow's 122-letter B_5 commutator in the kernel of Burau
+    (Geom. Topol. 3 (1999) 397-404)."""
+    psi1 = parse_braid("strands=5; s3^-1 s2 s1^2 s2 s4^3 s3 s2")
+    psi2 = parse_braid("strands=5; s4^-1 s3 s2 s1^-2 s2 s1^2 s2^2 s1 s4^5")
+    a = conjugate(inverse(psi1), word(5, [4]))
+    b = conjugate(inverse(psi2), parse_braid("strands=5; s4 s3 s2 s1^2 s2 s3 s4"))
+    return compose(compose(a, b), compose(inverse(a), inverse(b)))
+
+
+def test_burau_point_generates_the_units_mod_p():
+    assert (_BURAU_PRIME, _BURAU_POINT) == (P, 37)
+    n = 1
+    for q, k in P_MINUS_1_FACTORS.items():
+        assert all(q % d for d in range(2, math.isqrt(q) + 1))  # q is prime
+        n *= q ** k
+    assert n == P - 1 and len(P_MINUS_1_FACTORS) == 12
+    for q in P_MINUS_1_FACTORS:
+        assert pow(37, (P - 1) // q, P) != 1
+    assert pow(2, 61, P) == 1  # why t = 2 would not do
+
+
+def test_burau_witness_rejects_a_power_that_t_equal_2_misses():
+    b = word(3, [1] * 122 + [-2] * 122)
+    assert not is_trivial(b)
+    assert first_non_identity(evaluated_burau(b, t=2)) is None
+    v = quasipositivity_verdict(b)
+    assert v.status == "not_quasipositive"
+    (o,) = v.obstructions
+    assert o.test == "exponent_zero"
+    rederive_burau_witness(b, o.witness)
+
+
+def test_identity_burau_image_falls_back_to_garside():
+    b = bigelow_kernel_element()
+    assert len(b.letters) == 122 and exponent_sum(b) == 0
+    assert reduced_burau(b) == reduced_burau(identity(5))
+    assert _burau_witness(b) is None
+    v = quasipositivity_verdict(b)
+    assert v.status == "not_quasipositive"
+    assert [(o.test, o.witness) for o in v.obstructions] == [
+        ("exponent_zero", "nontrivial Garside normal form")]
+
+
+def test_exponent_zero_verdict_on_every_short_three_braid():
+    # Every e = 0 word of length <= 8 over s1^+-1, s2^+-1: 19,305 words.
+    words = [word(3, letters) for length in range(0, 9, 2)
+             for letters in itertools.product((1, -1, 2, -2), repeat=length)
+             if sum(1 if x > 0 else -1 for x in letters) == 0]
+    assert len(words) == 19305
+    trivial = burau_witnesses = 0
+    for b in words:
+        v, t = quasipositivity_verdict(b), is_trivial(b)
+        trivial += t
+        assert v.status == ("quasipositive_certified" if t else "not_quasipositive")
+        if v.obstructions and v.obstructions[0].witness.startswith("reduced Burau"):
+            burau_witnesses += 1
+            rederive_burau_witness(b, v.obstructions[0].witness)
+    # Burau is faithful on B_3 and no entry collides mod p here, so every
+    # nontrivial word is rejected before Garside.
+    assert burau_witnesses == len(words) - trivial
+
+
+def test_burau_mod_p_against_evaluated_reduced_burau():
+    rng = random.Random(53)
+    off_diagonal = 0
+    for _ in range(120):
+        m = rng.randint(2, 8)
+        b = random_word(rng, m, max_len=40)
+        image = _burau_mod_p(b)
+        assert image == evaluated_burau(b)
+        entry = _burau_witness(b)
+        assert entry == first_non_identity(image)
+        off_diagonal += entry is not None and entry[0] != entry[1]
+        # the same word pushed to e = 0, through the verdict's witness
+        e = exponent_sum(b)
+        b0 = compose(b, word(m, [-1 if e > 0 else 1] * abs(e)))
+        v = quasipositivity_verdict(b0)
+        if v.obstructions and v.obstructions[0].witness.startswith("reduced Burau"):
+            rederive_burau_witness(b0, v.obstructions[0].witness)
+    assert off_diagonal >= 5  # a transposed entry would not go unseen
 
 
 def test_exponent_sum_reported():
