@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .braid import MAX_WORD_LENGTH
 
@@ -27,39 +27,30 @@ Comb = tuple[int, ...]
 Matching = tuple[tuple[int, int], ...]
 
 _PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}
+_LETTERS = frozenset(_PARTNER)
 
 
 class CombError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightedComb:
-    word: Comb
-    alpha: int
-    beta: int
-    gamma: int
+class WeightedComb(NamedTuple("_WeightedComb", [
+        ("word", Comb), ("alpha", int), ("beta", int), ("gamma", int)])):
+    """A named tuple, equal to the plain 4-tuple (word, alpha, beta,
+    gamma). The constructor, _make and _replace check letters and weights."""
 
-    def __post_init__(self):
-        if any(g not in _PARTNER for g in self.word):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, word: Comb, alpha: int, beta: int, gamma: int):
+        if not _LETTERS.issuperset(word):
             raise CombError("comb letters must be generators 1..6")
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
+        if alpha < 0 or beta < 0 or gamma < 0:
             raise CombError("weights must be nonnegative")
+        return tuple.__new__(cls, (word, alpha, beta, gamma))
 
 
 # -- closure ------------------------------------------------------------
-
-
-def _parity_classes(word: Comb) -> list[int]:
-    """parity[i] for positions of type-1/2 letters: the count of letters
-    of types 1..4 strictly before position i, mod 2."""
-    parity = []
-    count = 0
-    for g in word:
-        parity.append(count % 2)
-        if g in (1, 2, 3, 4):
-            count += 1
-    return parity
 
 
 def find_closure(word: Comb) -> Matching | None:
@@ -87,9 +78,20 @@ def find_closure(word: Comb) -> Matching | None:
     return tuple(sorted(chords))
 
 
+def _closes(word: Comb) -> bool:
+    """find_closure(word) is not None, by its stack pass on letters alone."""
+    stack = [0]  # no letter cancels the 0 at the bottom
+    for letter in word:
+        if stack[-1] == _PARTNER[letter]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return len(stack) == 1
+
+
 @lru_cache(maxsize=200000)
 def is_closed(word: Comb) -> bool:
-    return find_closure(word) is not None
+    return _closes(word)
 
 
 # -- chains -------------------------------------------------------------
@@ -102,38 +104,34 @@ _BETA_G5 = (4, 5, 4)
 def chain_successors(w: WeightedComb) -> list[WeightedComb]:
     """One chain step. While gamma > 0 only the two gamma moves apply;
     then while alpha > 0 only g1 -> g3; then g5 -> g4 g5 g4 while
-    beta > 0. Steps that would push a weight negative are excluded."""
-    word, a, b, g = w.word, w.alpha, w.beta, w.gamma
+    beta > 0. Steps that would push a weight negative are excluded.
+    Successors of a valid comb are valid, so they skip the checks."""
+    word, a, b, g = w
+    new = tuple.__new__
     out: list[WeightedComb] = []
     if g > 0:
-        for i, letter in enumerate(word):
-            if letter == 2:
-                out.append(WeightedComb(word[:i] + _GAMMA_G2 + word[i + 1:], a, b, g - 1))
-            elif letter == 5 and a >= 3:
-                out.append(WeightedComb(word[:i] + _GAMMA_G5 + word[i + 1:], a - 3, b, g - 1))
+        for i, x in enumerate(word):
+            if x == 2:
+                out.append(new(WeightedComb, (word[:i] + _GAMMA_G2 + word[i + 1:], a, b, g - 1)))
+            elif x == 5 and a >= 3:
+                out.append(new(WeightedComb,
+                               (word[:i] + _GAMMA_G5 + word[i + 1:], a - 3, b, g - 1)))
         return out
     if a > 0:
-        for i, letter in enumerate(word):
-            if letter == 1:
-                out.append(WeightedComb(word[:i] + (3,) + word[i + 1:], a - 1, b, g))
+        letter, replacement, weights = 1, (3,), (a - 1, b, g)
+    elif b > 0:
+        letter, replacement, weights = 5, _BETA_G5, (a, b - 1, g)
+    else:
         return out
-    if b > 0:
-        for i, letter in enumerate(word):
-            if letter == 5:
-                out.append(WeightedComb(word[:i] + _BETA_G5 + word[i + 1:], a, b - 1, g))
-        return out
-    return []
-
-
-def _counts(word: Comb) -> tuple[int, int, int, int, int, int]:
-    c = [0] * 6
-    for letter in word:
-        c[letter - 1] += 1
-    return tuple(c)
+    for i, x in enumerate(word):
+        if x == letter:
+            out.append(new(WeightedComb, (word[:i] + replacement + word[i + 1:], *weights)))
+    return out
 
 
 def _feasible(w: WeightedComb) -> bool:
-    """Necessary conditions for any chain from w to reach a closed comb.
+    """Necessary conditions for any chain from w to reach a closed comb,
+    from six letter counts and, once gamma = 0, one parity sweep.
 
     The per-pair imbalances must be correctable by the remaining moves:
     with x gamma-moves on g2 and y on g5 (x + y = gamma, 3y <= alpha),
@@ -142,19 +140,18 @@ def _feasible(w: WeightedComb) -> bool:
         d34 + (alpha - 3y) + 3y - 2*beta = 0,
         d56 - 3x - 3y = 0,
     and the moves need the letters they rewrite to exist."""
-    n1, n2, n3, n4, n5, n6 = _counts(w.word)
-    a, b, g = w.alpha, w.beta, w.gamma
-    d12, d34, d56 = n1 - n2, n3 - n4, n5 - n6
-    if d56 != 3 * g:
+    word, a, b, g = w
+    n1, n2, n5 = word.count(1), word.count(2), word.count(5)
+    if n5 - word.count(6) != 3 * g:
         # both gamma moves change n5 - n6 by exactly -3 (the g2 move adds
         # three g6's; the g5 move trades one g5 for two g6's)
         return False
-    if d34 + a - 2 * b != 0:
+    if word.count(3) - word.count(4) + a - 2 * b != 0:
         # both alpha-phase moves add one g3 per remaining alpha unit
         # (g1 -> g3 directly, the g5 gamma-move in triples), and each
         # beta move adds two g4's. The identity is phase independent.
         return False
-    if d12 + 3 * g != a:
+    if n1 - n2 + 3 * g != a:
         # with x = g - y the first identity reads d12 + 3g - a = 0 for
         # every split of the gamma moves
         return False
@@ -165,20 +162,20 @@ def _feasible(w: WeightedComb) -> bool:
     #     one must survive gamma;
     #   alpha - 3y <= n1 + 2x: g1 -> g3 needs a g1, and gamma g2-moves add
     #     two g1's each.
-    low = max(0, g - n2, a - n1 - 2 * g)
-    high = min(g, a // 3, n5 - (b > 0))
-    return low <= high
-
-
-def _parity_prune(w: WeightedComb) -> bool:
-    """Once gamma = 0 the two parity classes of type-1/2 positions can
-    each shrink by at most one per remaining alpha move."""
-    if w.gamma != 0:
+    if max(0, g - n2, a - n1 - 2 * g) > min(g, a // 3, n5 - (b > 0)):
+        return False
+    if g:
         return True
-    parity = _parity_classes(w.word)
-    e1 = sum(1 for i, g in enumerate(w.word) if g in (1, 2) and parity[i] == 0)
-    e2 = sum(1 for i, g in enumerate(w.word) if g in (1, 2) and parity[i] == 1)
-    return abs(e1 - e2) <= w.alpha
+    # Once gamma = 0 the type-1/2 letters in the two parity classes
+    # (parity of the number of type-1..4 letters strictly before) differ
+    # by diff, and each remaining alpha move shrinks one class by one.
+    diff = parity = 0
+    for letter in word:
+        if letter <= 2:
+            diff += 1 - 2 * parity
+        if letter <= 4:
+            parity ^= 1
+    return abs(diff) <= a
 
 
 def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
@@ -187,7 +184,9 @@ def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
     Distinct rewrite positions count as distinct chains; successor words
     of one state are pairwise distinct, so memoising on states is exact,
     and so is memoising the capped counts, since
-    min(cap, sum of counts) = min(cap, sum of capped counts)."""
+    min(cap, sum of counts) = min(cap, sum of capped counts). A state
+    costs O(length): the slice that builds it, then one _feasible pass or,
+    at a leaf, one stack pass. Nothing outlives the search's own memo."""
     memo: dict[WeightedComb, int] = {}
     # The depth-first search keeps its own stack, so a chain may be longer
     # than Python's recursion limit. One frame per state being counted:
@@ -197,9 +196,9 @@ def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
     while True:
         if state in memo:
             value = memo[state]
-        elif state.alpha == 0 and state.beta == 0 and state.gamma == 0:
-            value = memo[state] = 1 if is_closed(state.word) else 0
-        elif prune and not (_feasible(state) and _parity_prune(state)):
+        elif not (state.alpha or state.beta or state.gamma):
+            value = memo[state] = 1 if _closes(state.word) else 0
+        elif prune and not _feasible(state):
             value = memo[state] = 0
         else:
             frames.append([state, iter(chain_successors(state)), 0])

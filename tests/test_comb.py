@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ruledcurves import comb
 from ruledcurves.braid import MAX_WORD_LENGTH
 from ruledcurves.comb import (
     CombError,
@@ -127,6 +128,34 @@ def test_chain_successors():
         [WeightedComb((4, 5, 4), 0, 0, 0)]
 
 
+def test_successors_equal_checked_combs():
+    rng = random.Random(131)
+    for _ in range(200):
+        word = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 8)))
+        w = WeightedComb(word, rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 2))
+        for s in chain_successors(w):
+            assert type(s) is WeightedComb
+            assert s == WeightedComb(s.word, s.alpha, s.beta, s.gamma)
+            assert s == (s.word, s.alpha, s.beta, s.gamma)
+            assert hash(s) == hash((s.word, s.alpha, s.beta, s.gamma))
+
+
+def test_constructor_checks():
+    for bad in ((7,), (0,), (1, 2, 7)):
+        with pytest.raises(CombError, match="generators 1..6"):
+            WeightedComb(bad, 0, 0, 0)
+    for weights in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(CombError, match="nonnegative"):
+            WeightedComb((1, 2), *weights)
+    w = WeightedComb((5, 2), 2, 1, 1)
+    assert w == ((5, 2), 2, 1, 1) and w.word == (5, 2) and w.gamma == 1
+    assert w._replace(alpha=0) == ((5, 2), 0, 1, 1)
+    with pytest.raises(CombError):
+        w._replace(beta=-1)
+    with pytest.raises(CombError):
+        WeightedComb._make(((7,), 0, 0, 0))
+
+
 def test_priority_discipline():
     rng = random.Random(103)
     for _ in range(200):
@@ -201,6 +230,105 @@ def test_mu_pruned_equals_unpruned():
     assert counts[mu3] == 3
 
 
+_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}
+# Closed blocks are P followed by the partners of P reversed. Each P
+# carries what a reverse chain move needs: g4 g5 g4 is the image of a beta
+# move on g5, g3 g6 g3 g6 g3 that of a gamma move on g5, and g6 g3 g6 g3 g6
+# becomes g6 g1 g6 g1 g6, the image of a gamma move on g2, after two
+# reverse alpha moves.
+_PATTERNS = ((4, 5, 4), (3, 6, 3, 6, 3), (6, 3, 6, 3, 6))
+
+
+def _replace(word, pattern, replacement, rng):
+    hits = [i for i in range(len(word)) if word[i:i + len(pattern)] == pattern]
+    if not hits:
+        return None
+    i = rng.choice(hits)
+    return word[:i] + replacement + word[i + len(pattern):]
+
+
+def _unwound_comb(rng, length):
+    """A closed comb of `length` letters, unwound by reverse chain moves
+    in reverse phase order (beta, alpha, gamma), so its mu is at least 1.
+    Inserting a closed block anywhere in a closed word keeps it closed."""
+    blocks = [p + tuple(_PARTNER[x] for x in reversed(p)) for p in rng.sample(_PATTERNS, 2)]
+    while sum(map(len, blocks)) < length:
+        x = rng.randint(1, 6)
+        blocks.append((x, _PARTNER[x]))
+    word = ()
+    for block in blocks:
+        i = rng.randint(0, len(word))
+        word = word[:i] + block + word[i:]
+    a = b = g = 0
+    if (new := _replace(word, (4, 5, 4), (5,), rng)) is not None:
+        word, b = new, 1
+    if (new := _replace(word, (6, 3, 6, 3, 6), (6, 1, 6, 1, 6), rng)) is not None:
+        word, a = new, 2
+    threes = [i for i, x in enumerate(word) if x == 3]
+    for i in rng.sample(threes, min(rng.randint(0, 2), len(threes))):
+        word, a = word[:i] + (1,) + word[i + 1:], a + 1
+    for pattern, letter, da in rng.sample([((6, 1, 6, 1, 6), 2, 0), ((3, 6, 3, 6, 3), 5, 3)], 2):
+        if (new := _replace(word, pattern, (letter,), rng)) is not None:
+            word, a, g = new, a + da, g + 1
+            break
+    return WeightedComb(word, a, b, g)
+
+
+def _swapped(w, rng, swaps):
+    """w with `swaps` pairs of distinct letters exchanged: every letter
+    count and weight is kept, so the balance laws still pass."""
+    word = list(w.word)
+    for _ in range(swaps):
+        i, j = rng.sample(range(len(word)), 2)
+        while word[i] == word[j]:
+            i, j = rng.sample(range(len(word)), 2)
+        word[i], word[j] = word[j], word[i]
+    return WeightedComb(tuple(word), w.alpha, w.beta, w.gamma)
+
+
+def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
+    """The balance and parity laws prune no chain on combs of 16-26
+    letters: unwound closed combs (mu >= 1) and letter-swapped copies
+    (mostly mu = 0, where pruning does the work). The last comb passes
+    every balance law and only the parity law rejects it."""
+    parity_only = parse_weighted_comb("g1 g3 g1 g4 g2 g4 | 1 0 0")
+    n = [parity_only.word.count(x) for x in range(7)]
+    # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
+    assert (n[1] - n[2], n[3] - n[4] + 1, n[5] - n[6]) == (1, 0, 0)
+    expanded = []
+    monkeypatch.setattr(comb, "chain_successors",
+                        lambda w: expanded.append(w) or chain_successors(w))
+    assert mu_count(parity_only) == 0 and expanded == []  # rejected at the root
+    assert mu_count(parity_only, prune=False) == 0 and expanded == [parity_only]
+    monkeypatch.undo()
+    rng = random.Random(127)
+    combs = []
+    for _ in range(40):
+        w = _unwound_comb(rng, rng.randint(16, 26))
+        assert mu_exists(w, prune=False)
+        combs += [w, _swapped(w, rng, 1), _swapped(w, rng, 2)]
+    combs.append(parity_only)
+    counts = []
+    for w in combs:
+        count = mu_count(w, prune=False)
+        counts.append(count)
+        assert mu_count(w, prune=True) == count, w
+        for p in (True, False):
+            assert mu_exists(w, prune=p) == (count > 0), (w, p)
+    assert counts[-1] == 0
+    assert sum(c > 0 for c in counts) >= 40 and sum(c == 0 for c in counts) >= 20
+    assert max(counts) > 1
+
+
+def test_chain_search_leaves_no_process_state():
+    """Leaves are decided without is_closed, so a search leaves its cache
+    as it was."""
+    w = _unwound_comb(random.Random(137), 24)
+    before = is_closed.cache_info().currsize
+    assert mu_exists(w) and mu_count(w) >= 1
+    assert is_closed.cache_info().currsize == before
+
+
 def test_realizability_verdict():
     # empty scheme: unit comb, realizable
     assert algebraic_realizability_verdict(parse_scheme("n=1 m=3;"))
@@ -248,6 +376,7 @@ def test_is_closed_against_brute_force():
     for length in range(0, 5):
         for word in itertools.product(range(1, 7), repeat=length):
             assert is_closed(word) == _closed_by_brute_force(word), word
+            assert (find_closure(word) is not None) == is_closed(word), word
     balanced = [word for word in itertools.product(range(1, 7), repeat=6)
                 if all(word.count(low) == word.count(low + 1) for low in (1, 3, 5))]
     closed = 0
