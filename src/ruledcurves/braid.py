@@ -17,6 +17,7 @@ MAX_STRANDS strands and expands to at most MAX_WORD_LENGTH letters.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -116,32 +117,11 @@ def _transposition(m: int, i: int) -> Perm:
     return tuple(p)
 
 
-def _compose_perm(p: Perm, q: Perm) -> Perm:
-    return tuple(q[x] for x in p)
-
-
-def _inverse_perm(p: Perm) -> Perm:
+def _inverse_perm(p: Sequence[int]) -> list[int]:
     out = [0] * len(p)
     for x, y in enumerate(p):
         out[y] = x
-    return tuple(out)
-
-
-def _left_descents(p: Perm):
-    """Generators i with l(s_i p) < l(p): p(i-1) > p(i) in 0-based positions."""
-    return [i for i in range(1, len(p)) if p[i - 1] > p[i]]
-
-
-def _right_descents(p: Perm) -> set[int]:
-    """Generators i with l(p s_i) < l(p): value i appears after value i+1."""
-    inv = _inverse_perm(p)
-    return {i for i in range(1, len(p)) if inv[i - 1] > inv[i]}
-
-
-def _flip(p: Perm) -> Perm:
-    """Conjugation by the half twist: w0 p w0."""
-    w0 = _w0(len(p))
-    return _compose_perm(w0, _compose_perm(p, w0))
+    return out
 
 
 def _perm_word(p: Perm) -> tuple[int, ...]:
@@ -185,17 +165,27 @@ class GarsideNormalForm:
 
 def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm]:
     """Slide prefix letters of b into a until the pair is left-weighted
-    (every left descent of b is a right descent of a)."""
-    m = len(a)
-    while True:
-        rd = _right_descents(a)
-        movable = [i for i in _left_descents(b) if i not in rd]
-        if not movable:
-            return a, b
-        i = movable[0]
-        s = _transposition(m, i)
-        a = _compose_perm(a, s)
-        b = _compose_perm(s, b)
+    (every left descent of b is a right descent of a), always the
+    smallest movable letter first.
+
+    s_i is a left descent of b when b(i-1) > b(i), and a right descent
+    of a when a^-1(i-1) > a^-1(i) (0-based positions), so the scan runs
+    on a list copy of b and on the inverse of a. Moving s_i from b to a
+    swaps positions i-1 and i in both lists; it can only change the
+    descents at i-1, i and i+1, and leaves none at i, so the scan goes
+    back one place. Each slide shortens b by one letter, so there are at
+    most m(m-1)/2 slides, and the pair costs O(1) per slide on top of an
+    O(m) scan and two O(m) inversions."""
+    m, inv, right = len(a), _inverse_perm(a), list(b)
+    i = 1
+    while i < m:
+        if right[i - 1] > right[i] and inv[i - 1] < inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            right[i - 1], right[i] = right[i], right[i - 1]
+            i = i - 1 or 1
+        else:
+            i += 1
+    return tuple(_inverse_perm(inv)), tuple(right)
 
 
 def garside_normal_form(b: BraidWord) -> GarsideNormalForm:
@@ -203,24 +193,26 @@ def garside_normal_form(b: BraidWord) -> GarsideNormalForm:
     Processing in Groups, ch. 9). Each letter becomes one simple factor:
     sigma_i the factor s_i, sigma_i^-1 the factor w0 s_i times Delta^-1,
     and the Delta^-1 are commuted to the front, flipping every factor
-    with an odd number of them to its right. The factors are then
+    with an odd number of them to its right (conjugation by Delta takes
+    s_i to s_(m-i)). As tuples, w0 s is s reversed. The factors are then
     appended one at a time to a left-weighted sequence, left-weighting
     adjacent pairs from the right end. In a left-weighted sequence the
     Delta factors come first and the trivial factors last, so the sweep
     stops at the first pair it leaves unchanged, drops a trivial last
     factor and moves a leading Delta into the infimum. With k factors
-    that is at most k pair steps per appended factor."""
+    that is at most k pair steps per appended factor, each O(m) plus O(1)
+    per slid letter (_left_weight_pair)."""
     m = b.strands
     w0 = _w0(m)
     simple: list[Perm] = []
     infimum = 0
     for letter in reversed(b.letters):
-        s = _transposition(m, abs(letter))
+        i = abs(letter)
+        s = _transposition(m, m - i if infimum % 2 else i)
         if letter < 0:
-            s = _compose_perm(w0, s)
-        simple.append(_flip(s) if infimum % 2 else s)
-        if letter < 0:
+            s = s[::-1]
             infimum -= 1
+        simple.append(s)
 
     factors: list[Perm] = []
     for s in reversed(simple):

@@ -32,10 +32,128 @@ class ConventionError(RuntimeError):
 # sigma_i^sign rewrites column k = i-1 of the matrix it acts on from the
 # right as a sum over (column offset, exponent shift, sign) of
 # sign * t^shift * column[k + offset]; columns outside 0..m-2 are zero.
+# _burau_mod_p reads it; _packed_burau applies it as shifts by k bits.
 _LETTER_ACTION = {
     1: ((-1, 1, 1), (0, 1, -1), (1, 0, 1)),     # t*c[k-1] - t*c[k] + c[k+1]
     -1: ((-1, 0, 1), (0, -1, -1), (1, -1, 1)),  # c[k-1] - t^-1*c[k] + t^-1*c[k+1]
 }
+
+# The digit width, in bits, that reduced_burau starts from, and the bits
+# it leaves free above the column bounds whenever it widens the digits.
+_START_WIDTH = 64
+_SPARE_BITS = 64
+
+
+def _fits(bound: int, k: int) -> bool:
+    """Whether every integer of absolute value at most bound is a
+    balanced base-2^k digit, that is bound < 2^(k-1)."""
+    return bound.bit_length() < k
+
+
+def _halves(count: int, width: int, stride: int) -> int:
+    """sum over e < count of 2^(8 width - 1) * 2^(8 stride e): the half
+    of a width-byte digit in each of count digits of stride bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80" + bytes(stride - width)) * count,
+                          "little")
+
+
+def _digit_bytes(value: int, k: int) -> tuple[int, bytes]:
+    """(v, raw) for value = X^v * sum_e c_e X^e with X = 2^k, k a multiple
+    of 8, every |c_e| < X/2 and c_0 != 0 (v = 0 for zero). raw holds the
+    little-endian bytes of sum_e (c_e + X/2) X^e, k/8 bytes a digit;
+    every shifted digit lies in 0..X-1, so no digit carries into the
+    next. c_0 != 0 with |c_0| < X/2 leaves fewer than k trailing zero
+    bits below it, and |value / X^v| > X^top / 2 for the top digit, so v
+    and the digit count come from the bit counts."""
+    width = k >> 3
+    v = ((value & -value).bit_length() - 1) // k if value else 0
+    value >>= k * v
+    count = value.bit_length() // k + 1
+    return v, (value + _halves(count, width, width)).to_bytes(count * width, "little")
+
+
+def _coefficients(raw: bytes, k: int) -> list[int]:
+    """The balanced digits c_e of _digit_bytes, lowest first."""
+    width, half, from_bytes = k >> 3, 1 << (k - 1), int.from_bytes
+    return [from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, len(raw), width)]
+
+
+def _widen(v: int, raw: bytes, k: int, wide: int) -> int:
+    """The integer that _digit_bytes took to (v, raw) at width k, packed
+    again at width wide >= k: each digit's bytes move into a digit of
+    wide/8 bytes, by one strided copy per byte of the old width."""
+    width, stride = k >> 3, wide >> 3
+    count = len(raw) // width
+    out = bytearray(count * stride)
+    for j in range(width):
+        out[j::stride] = raw[j::width]
+    return (int.from_bytes(out, "little") - _halves(count, width, stride)) << (wide * v)
+
+
+def _decoded(value: int, k: int, low: int) -> LaurentPoly:
+    """The Laurent polynomial whose balanced base-2^k digits value holds,
+    the lowest at exponent low."""
+    v, raw = _digit_bytes(value, k)
+    return LaurentPoly(dict(enumerate(_coefficients(raw, k), low + v)))
+
+
+def _packed_burau(b: BraidWord) -> tuple[int, int, list[list[int]]]:
+    """(low, k, columns) with columns[c][r] = X^-low * p(X), X = 2^k, for
+    the entry p at row r and column c of reduced_burau(b), and -low the
+    number of inverse letters of b (Kronecker substitution).
+
+    The letters act as in _LETTER_ACTION. Multiplying by t is a left
+    shift by k bits, so sigma_i sets column i-1 to ((x - y) << k) + z
+    and sigma_i^-1 to x + ((z - y) >> k), with x, y, z the old columns
+    i-2, i-1, i (zero outside 0..m-2). The right shift is exact: after j
+    inverse letters every entry has exponents >= -j, so while one is
+    still to come (j < -low) t^-low times each entry, and so z - y, is a
+    polynomial divisible by t, and its integer is divisible by X.
+
+    Width. bounds[c] bounds the absolute coefficients of column c, and a
+    letter on column c sets bounds[c] to bounds[c-1] + bounds[c] +
+    bounds[c+1]. While every bound is below X/2 (_fits), every entry's
+    base-X digits, taken balanced, are its coefficients. That bound
+    grows exponentially in the length, far faster than the coefficients
+    (after 200 random letters on 3 strands: 113-117 bits against 19-31).
+    So when a letter would take its column's bound to X/2, every entry
+    is decoded exactly (the old bounds still hold), the bounds are reset
+    to the columns' true largest coefficients, and k grows, in whole
+    bytes, to leave _SPARE_BITS free above the largest bound.
+
+    Cost. An entry has at most L + 1 digits for L letters, so a letter
+    costs O(m) additions and shifts of O(L * k)-bit integers, with k
+    within _SPARE_BITS + 9 bits of the largest coefficient met so far,
+    or _START_WIDTH. The largest bound at most triples per letter, so
+    at least (_SPARE_BITS - 1) / log2(3) letters pass between two
+    re-tightenings, each of which decodes the (m-1)^2 entries in
+    O(m^2 * L) digit steps."""
+    n, k = b.strands - 1, _START_WIDTH
+    low = -sum(letter < 0 for letter in b.letters)
+    one, zero = 1 << (k * -low), [0] * n
+    # cols[c] and bounds[c] are column c-1; the zero columns 0 and n+1
+    # stand for the neighbours outside 0..m-2.
+    cols = [zero, *([one if r == c else 0 for r in range(n)] for c in range(n)), zero]
+    bounds = [0, *[1] * n, 0]
+    for letter in b.letters:
+        i = abs(letter)
+        bound = bounds[i - 1] + bounds[i] + bounds[i + 1]
+        if not _fits(bound, k):
+            digits = [[_digit_bytes(x, k) for x in col] for col in cols[1:-1]]
+            for c, col in enumerate(digits, 1):
+                coeffs = [d for _, raw in col for d in _coefficients(raw, k)]
+                bounds[c] = max(max(coeffs), -min(coeffs))
+            bound = bounds[i - 1] + bounds[i] + bounds[i + 1]
+            wide = max(k, (max(bound, *bounds).bit_length() + _SPARE_BITS + 7) & ~7)
+            cols[1:-1] = [[_widen(v, raw, k, wide) for v, raw in col] for col in digits]
+            k = wide
+        bounds[i] = bound
+        if letter > 0:
+            cols[i] = [((x - y) << k) + z for x, y, z in zip(cols[i - 1], cols[i], cols[i + 1])]
+        else:
+            cols[i] = [x + ((z - y) >> k) for x, y, z in zip(cols[i - 1], cols[i], cols[i + 1])]
+    return low, k, cols[1:-1]
 
 
 def reduced_burau(b: BraidWord) -> Matrix:
@@ -46,27 +164,12 @@ def reduced_burau(b: BraidWord) -> Matrix:
     0..m-2 dropped), i.e. the block [[1,t,0],[0,-t,0],[0,1,1]] at rows
     and columns i-1..i+1; sigma_i^-1 holds 1, -t^-1, t^-1 there. Every
     generator has determinant -t. The product is built letter by letter
-    as the generator's action on the right (_LETTER_ACTION), which
-    rewrites one column: O(m) monomial-scaled additions per letter and no
-    polynomial product, so O(m * L^2) coefficient operations for L letters.
-    """
+    as the generator's action on the right, which rewrites one column,
+    on Kronecker-packed integers (_packed_burau); each entry is decoded
+    once at the end, in O(L) digit steps for L letters."""
+    low, k, cols = _packed_burau(b)
     n = b.strands - 1
-    cols = [[{0: 1} if r == c else {} for r in range(n)] for c in range(n)]
-    for letter in b.letters:
-        k = abs(letter) - 1
-        new: list[dict[int, int]] = [{} for _ in range(n)]
-        for offset, shift, sign in _LETTER_ACTION[1 if letter > 0 else -1]:
-            if 0 <= k + offset < n:
-                for acc, entry in zip(new, cols[k + offset]):
-                    for e, c in entry.items():
-                        e += shift
-                        c = acc.get(e, 0) + sign * c
-                        if c:
-                            acc[e] = c
-                        else:
-                            del acc[e]
-        cols[k] = new
-    return tuple(tuple(LaurentPoly(cols[c][r]) for c in range(n)) for r in range(n))
+    return tuple(tuple(_decoded(cols[c][r], k, low) for c in range(n)) for r in range(n))
 
 
 # The point at which _burau_mod_p evaluates t. 2^61 - 1 is prime, and 37

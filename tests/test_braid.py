@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -7,6 +8,7 @@ from ruledcurves.braid import (
     MAX_STRANDS,
     MAX_WORD_LENGTH,
     BraidError,
+    _left_weight_pair,
     BraidWord,
     compose,
     conjugate,
@@ -147,6 +149,43 @@ def test_normal_form_left_weighted():
             finishing = {i for i in range(1, len(f)) if inv_f[i - 1] > inv_f[i]}
             starting = {i for i in range(1, len(g)) if g[i - 1] > g[i]}
             assert starting <= finishing
+
+
+def slide_one_letter_at_a_time(a, b):
+    """Reference left-weighting: recompute the right descents of a and
+    the left descents of b, slide the smallest movable s_i (a <- a s_i,
+    b <- s_i b, composed as tuples), repeat. Returns the pair and the
+    slid letters in order."""
+    m, slides = len(a), []
+    while True:
+        inv_a = [0] * m
+        for x, y in enumerate(a):
+            inv_a[y] = x
+        movable = [i for i in range(1, m) if b[i - 1] > b[i] and inv_a[i - 1] < inv_a[i]]
+        if not movable:
+            return (a, b), slides
+        i = movable[0]
+        s = list(range(m))
+        s[i - 1], s[i] = i, i - 1
+        a, b = tuple(s[x] for x in a), tuple(b[x] for x in s)
+        slides.append(i)
+
+
+def test_left_weight_pair_against_one_letter_slides():
+    # Every pair in S_4, and seeded pairs in S_5..S_10. The left-weighted
+    # pair does not depend on the slide order, which only sets the cost.
+    rng = random.Random(83)
+    pairs = list(itertools.product(itertools.permutations(range(4)), repeat=2))
+    assert len(pairs) == 576
+    for m in range(5, 11):
+        for _ in range(300):
+            pairs.append(tuple(tuple(rng.sample(range(m), m)) for _ in range(2)))
+    slid = 0
+    for a, b in pairs:
+        expected, slides = slide_one_letter_at_a_time(a, b)
+        assert _left_weight_pair(a, b) == expected
+        slid += len(slides)
+    assert slid > len(pairs)
 
 
 def test_normal_form_idempotent():

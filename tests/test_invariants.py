@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -21,12 +22,20 @@ from ruledcurves.braid import (
 from ruledcurves.invariants import (
     _BURAU_POINT,
     _BURAU_PRIME,
+    _SPARE_BITS,
+    _START_WIDTH,
     ConventionError,
     _burau_mod_p,
     _burau_witness,
+    _coefficients,
+    _decoded,
     _det,
     _determinant,
+    _digit_bytes,
+    _fits,
     _is_perfect_square,
+    _packed_burau,
+    _widen,
     alexander_polynomial,
     determinant_of_closure,
     obstructions,
@@ -204,6 +213,116 @@ def test_burau_against_block_matrix_products():
         for letter in b.letters:
             expected = mat_mul(expected, laurent_block(b.strands, letter))
         assert reduced_burau(b) == expected
+
+
+# The column action on plain dicts, exponent -> coefficient: the Burau
+# oracle for the packed integers of reduced_burau, sharing no code with
+# them. sigma_i^sign rewrites column k = i-1 as the sum over (offset,
+# shift, sign) of sign * t^shift * column[k + offset].
+DICT_ACTION = {
+    1: ((-1, 1, 1), (0, 1, -1), (1, 0, 1)),
+    -1: ((-1, 0, 1), (0, -1, -1), (1, -1, 1)),
+}
+
+
+def dict_burau(b):
+    n = b.strands - 1
+    cols = [[{0: 1} if r == c else {} for r in range(n)] for c in range(n)]
+    for letter in b.letters:
+        k = abs(letter) - 1
+        new = [{} for _ in range(n)]
+        for offset, shift, sign in DICT_ACTION[1 if letter > 0 else -1]:
+            if 0 <= k + offset < n:
+                for acc, entry in zip(new, cols[k + offset]):
+                    for e, c in entry.items():
+                        e += shift
+                        c = acc.get(e, 0) + sign * c
+                        if c:
+                            acc[e] = c
+                        else:
+                            del acc[e]
+        cols[k] = new
+    return tuple(tuple(LaurentPoly(cols[c][r]) for c in range(n)) for r in range(n))
+
+
+def largest_coefficient(mat):
+    return max(abs(c) for row in mat for x in row for c in x.coeffs.values())
+
+
+def test_packed_burau_against_dict_column_action():
+    rng = random.Random(89)
+    words = [identity(m) for m in range(2, 7)]
+    # m = 2, and all-inverse words, whose entries reach the valuation
+    # offset -low exactly: one unit less and the last right shift drops
+    # a digit.
+    words += [random_word(rng, 2, max_len=30) for _ in range(20)]
+    words += [word(m, [-rng.randint(1, m - 1) for _ in range(rng.randint(1, 40))])
+              for m in range(2, 9) for _ in range(6)]
+    # w w^-1 and Bigelow's kernel element: entries that cancel to 0
+    halves = [random_word(rng, rng.randint(3, 8), max_len=30) for _ in range(20)]
+    words += [compose(w, inverse(w)) for w in halves] + [bigelow_kernel_element()]
+    words += [random_word(rng, rng.randint(2, 12), max_len=80) for _ in range(120)]
+    cancelled = 0
+    for b in words:
+        expected = dict_burau(b)
+        assert reduced_burau(b) == expected
+        cancelled += b.letters != () and expected == reduced_burau(identity(b.strands))
+    assert cancelled >= len(halves) + 1
+
+
+def test_packed_burau_widens_the_digits_on_a_long_word():
+    # The column bound passes 2^63 within a few hundred letters, and the
+    # coefficients pass 2^128, so the digits are re-tightened and widened.
+    rng = random.Random(97)
+    b = word(3, random_letters(rng, 3, 1500))
+    low, k, _ = _packed_burau(b)
+    expected = dict_burau(b)
+    assert reduced_burau(b) == expected
+    assert low == -sum(letter < 0 for letter in b.letters)
+    assert k > 2 * _START_WIDTH
+    assert largest_coefficient(expected).bit_length() > 2 * _START_WIDTH
+
+
+def test_packed_burau_on_four_thousand_letters():
+    # The digit width follows the largest coefficient, not the column
+    # bound, which would need thousands of bits here; so the time and the
+    # memory stay near those of the coefficients themselves.
+    rng = random.Random(101)
+    b = word(3, random_letters(rng, 3, 4000))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        low, k, cols = _packed_burau(b)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = dict_burau(b)
+    assert tuple(tuple(_decoded(col[r], k, low) for col in cols)
+                 for r in range(len(cols))) == expected
+    assert k <= largest_coefficient(expected).bit_length() + _SPARE_BITS + 16
+    assert elapsed < 20 and peak < 64 << 20
+
+
+@pytest.mark.parametrize("k", [8, 16, 64, 72, 136])
+def test_digit_width_rule_is_the_decoder_capacity(k):
+    # _fits(bound, k) admits exactly the bounds whose coefficients come
+    # back from balanced base-2^k digits: 2^(k-1) - 1 round trips, at
+    # any valuation and after widening; 2^(k-1) does not, and is refused.
+    top = (1 << (k - 1)) - 1
+    assert _fits(top, k) and not _fits(top + 1, k)
+    for coeffs in ([top], [-top], [-top - 1], [top, -top, 0, top], [1, 0, -top, 5],
+                   [-top, top, top]):
+        for v in (0, 1, 3):
+            value = sum(c << (k * (e + v)) for e, c in enumerate(coeffs))
+            assert _digit_bytes(value, k)[0] == v
+            digits = _coefficients(_digit_bytes(value, k)[1], k)
+            assert digits[:len(coeffs)] == coeffs and not any(digits[len(coeffs):])
+            for wide in (k, k + 8, 2 * k):
+                assert _widen(*_digit_bytes(value, k), k, wide) == sum(
+                    c << (wide * (e + v)) for e, c in enumerate(coeffs))
+    value = (top + 1) << k
+    assert _coefficients(_digit_bytes(value, k)[1], k) != [top + 1]
 
 
 def sparse_mul(a, b):
