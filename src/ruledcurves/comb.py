@@ -226,9 +226,10 @@ def mu_exists(w: WeightedComb, prune: bool = True) -> bool:
 
 
 def algebraic_realizability_verdict(ls) -> bool:
-    """A trigonal scheme is realizable by nonsingular algebraic curves
-    exactly when its weighted comb is the unit comb (empty scheme) or
-    admits a chain to a closed comb."""
+    """True when the weighted comb is the unit comb (empty scheme) or has a
+    chain to a closed comb. A False means only that this minimal comb has
+    no chain, not that no algebraic curve has the scheme: the explicit
+    algebraic curve of L-scheme `n=2 m=3; >2 <2` gets a False."""
     from .lscheme import weighted_comb
 
     w = weighted_comb(ls)

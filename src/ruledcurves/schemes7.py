@@ -1,39 +1,36 @@
 """
-Queryable database of the realizable real schemes of nonsingular
-degree-7 curves in the projective plane, by category, plus the
-complex-scheme list for symmetric M-curves, and the complex-orientation
-identity as a standalone check.
+The realizable real schemes of nonsingular degree-7 curves in the
+projective plane, by category, and the complex schemes of symmetric
+M-curves.
 
 Real schemes are nesting trees: ``<J + 4 + 1<8>>`` is the odd component
 J, four empty ovals, and an oval with eight empty ovals inside. Complex
 schemes of type I add a p/m sign per oval and a trailing ``:I`` tag;
-type II schemes carry no signs and a trailing ``:II`` tag. The
-classification tables live in data/schemes7.json, one block per
-statement, so the numbers can be audited without reading code.
+type II schemes carry no signs and a trailing ``:II`` tag.
+
+A category is decided by named laws (``_LAWS``): Harnack's bound and
+Bezout's line bound for every curve; Klein's parity and the
+Rokhlin-Mishachev complex orientation formula for dividing curves; for
+non-dividing curves, that M-curves and curves with a nest of depth 3
+are dividing (Klein, Rokhlin). What these laws do not derive is cited
+from the source in data/schemes7.json: nests that its lists exclude by
+finer arguments, and the symmetric prohibitions of its main theorems.
+``exclusion`` names the law or citation that excludes a scheme.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .braid import MAX_WORD_LENGTH
 
 Forest = tuple  # recursively: tuple of ovals, each oval a Forest of children
-
-CATEGORIES = (
-    "any",
-    "dividing",
-    "non-dividing",
-    "symmetric",
-    "symmetric-dividing-pseudoholomorphic",
-    "symmetric-dividing-algebraic",
-    "symmetric-non-dividing",
-)
-
 
 class SchemeError(ValueError):
     pass
@@ -152,14 +149,9 @@ def parse_complex_scheme(text: str) -> ComplexSchemeCode:
 
 def render_real_scheme(code: RealSchemeCode) -> str:
     def render_forest(forest) -> list[str]:
-        parts = []
-        empty = sum(1 for o in forest if not o)
-        rest = [o for o in forest if o]
-        if empty:
-            parts.append(str(empty))
-        for oval in sorted(rest, reverse=True):
-            parts.append(f"1<{' + '.join(render_forest(oval))}>")
-        return parts
+        empty = forest.count(())
+        return [str(empty)] * bool(empty) + [f"1<{' + '.join(render_forest(oval))}>"
+                                             for oval in sorted(filter(None, forest), reverse=True)]
 
     inner = render_forest(code.ovals)
     return "<J>" if not inner else f"<J + {' + '.join(inner)}>"
@@ -170,19 +162,12 @@ def render_complex_scheme(code: ComplexSchemeCode) -> str:
         return f"{render_real_scheme(code.real_code())}:II"
 
     def render_forest(forest) -> list[str]:
-        groups: dict = {}
-        for sign, children in forest:
-            groups.setdefault((sign, children), 0)
-            groups[(sign, children)] += 1
         parts = []
-        order = sorted(groups.items(), key=lambda kv: (bool(kv[0][1]), -kv[0][0], kv[0][1]))
-        for (sign, children), count in order:
+        for (sign, children), count in sorted(
+                Counter(forest).items(), key=lambda kv: (bool(kv[0][1]), -kv[0][0], kv[0][1])):
             suffix = "p" if sign > 0 else "m"
-            if children:
-                for _ in range(count):
-                    parts.append(f"1{suffix}<{' + '.join(render_forest(children))}>")
-            else:
-                parts.append(f"{count}{suffix}")
+            parts += ([f"1{suffix}<{' + '.join(render_forest(children))}>"] * count
+                      if children else [f"{count}{suffix}"])
         return parts
 
     inner = render_forest(code.ovals)
@@ -190,7 +175,11 @@ def render_complex_scheme(code: ComplexSchemeCode) -> str:
     return f"{body}:{code.type_tag}"
 
 
-# -- classification data -------------------------------------------------
+# -- classification ------------------------------------------------------
+
+HARNACK = 15  # ovals besides J: at most the genus (7-1)(7-2)/2
+K = 3  # the degree is 2k + 1
+_DEEP_NESTS = ("<J + 1<1<1>>>", "<J + 1 + 1<1<1>>>")
 
 
 @lru_cache(maxsize=1)
@@ -199,86 +188,122 @@ def _load_data() -> dict:
         return json.load(fh)
 
 
-def _resolve(category: str) -> tuple[dict, dict, list[str], set[tuple[int, int]]]:
-    data = _load_data()["categories"]
-    if category not in data:
+CATEGORIES = tuple(_load_data()["categories"])
+
+
+class _Scheme(NamedTuple):
+    forest: Forest
+    ovals: int
+    depth: int  # ovals on the longest root path
+    line: int  # ovals on the union of two root paths
+
+
+def _measure(forest) -> tuple[int, int, int]:
+    """(ovals, depth, line) of a forest; equal siblings are measured once."""
+    ovals, depths, line = 0, [0, 0], 0
+    for child in set(forest):
+        n, depth, inner_line = _measure(child) if child else (0, 0, 0)
+        copies = forest.count(child)
+        ovals += copies * (1 + n)
+        depths = sorted(depths + [1 + depth] * min(copies, 2))[-2:]
+        line = max(line, 1 + inner_line)
+    return ovals, depths[1], max(line, sum(depths))
+
+
+def _orientation_sums(forest, above: int = 0) -> set[int]:
+    """Every value of L+ - L- + 2(P+ - P-) over the signings of a forest in
+    ovals whose signs sum to `above`. An oval of sign s adds s(1 - 2 above):
+    s, and 2 per enclosing oval of the other sign (a positive pair), -2 per
+    enclosing oval of its own sign."""
+    sums = {0}
+    for children in set(forest):
+        tree = {s * (1 - 2 * above) + inner for s in (1, -1)
+                for inner in (_orientation_sums(children, above + s) if children else (0,))}
+        for _ in range(forest.count(children)):
+            sums = {x + y for x in sums for y in tree}
+    return sums
+
+
+# block -> its laws, (name, holds(scheme)). A category applies the laws
+# of every block on its base chain, root first.
+_LAWS = {
+    "any": (
+        ("Harnack", lambda s: s.ovals <= HARNACK),
+        # a line through two innermost ovals crosses J and the ovals around them
+        ("Bezout", lambda s: 2 * s.line + 1 <= 2 * K + 1),
+    ),
+    "dividing": (
+        # Klein: a dividing curve of genus g has g + 1 - 2j components
+        ("type-I parity", lambda s: (HARNACK - s.ovals) % 2 == 0),
+        # Rokhlin-Mishachev, for some orientation of the curve
+        ("complex orientation", lambda s: s.ovals - K * (K + 1) in _orientation_sums(s.forest)),
+    ),
+    "non-dividing": (
+        # Klein: M-curves are dividing; Rokhlin: so are nests of depth k
+        ("type II", lambda s: s.ovals < HARNACK and s.depth < K),
+    ),
+}
+
+
+def _nest(outer: int, inner: int) -> Forest:
+    return (((),) * inner,) + ((),) * outer
+
+
+def _rules(category: str) -> tuple[list, dict]:
+    """The laws of a category, root block first, and its cited nests."""
+    blocks = _load_data()["categories"]
+    if category not in blocks:
         raise SchemeError(f"unknown category {category!r}; one of {', '.join(CATEGORIES)}")
-    removed: set[tuple[int, int]] = set()
-    node = data[category]
-    while "base" in node:
-        removed.update((a, b) for a, b in node.get("remove_nests", ()))
-        node = data[node["base"]]
-    return node["nest"], node["plain"], list(node.get("extra", ())), removed
+    laws, cited, name = [], {}, category
+    while name:
+        laws[:0] = _LAWS.get(name, ())
+        cited.update((_nest(a, b), f"cited: {name}")
+                     for a, b in blocks[name].get("remove_nests", ()))
+        name = blocks[name].get("base")
+    return laws, cited
 
 
-def _shape(code: RealSchemeCode):
-    """Classify into the degree-7 grammar: plain <J + a>, nest
-    <J + a + 1<b>>, or one of the two recorded deep nests."""
+def _exclusion(code: RealSchemeCode, laws: list, cited: dict) -> str | None:
     forest = code.ovals
-    nonempty = [o for o in forest if o]
-    if not nonempty:
-        return ("plain", len(forest))
-    if len(nonempty) == 1 and all(not child for child in nonempty[0]):
-        return ("nest", len(forest) - 1, len(nonempty[0]))
-    return ("deep", render_real_scheme(code))
+    nonempty = len(forest) - forest.count(())
+    if nonempty > 1 or (nonempty and any(max(forest))
+                        and render_real_scheme(code) not in _DEEP_NESTS):
+        raise SchemeError(f"scheme {render_real_scheme(code)} is outside the degree-7 grammar")
+    scheme = _Scheme(forest, *_measure(forest))
+    return next((name for name, holds in laws if not holds(scheme)), cited.get(forest))
+
+
+def exclusion(code: RealSchemeCode, category: str) -> str | None:
+    """The first law of the category that the scheme fails, or else the
+    citation that removes it; None when it is realizable. Schemes other
+    than <J + a>, <J + a + 1<b>> and _DEEP_NESTS raise SchemeError."""
+    return _exclusion(code, *_rules(category))
 
 
 def realizable(code: RealSchemeCode, category: str) -> bool:
-    nest, plain, extra, removed = _resolve(category)
-    shape = _shape(code)
-    if shape[0] == "plain":
-        alpha = shape[1]
-        if not plain["alpha_min"] <= alpha <= plain["alpha_max"]:
-            return False
-        if "alpha_parity" in plain and alpha % 2 != plain["alpha_parity"]:
-            return False
-        return True
-    if shape[0] == "nest":
-        alpha, beta = shape[1], shape[2]
-        if (alpha, beta) in removed:
-            return False
-        if not nest["beta_min"] <= beta <= nest["beta_max"]:
-            return False
-        if not nest["alpha_min"] <= alpha <= nest["alpha_max"]:
-            return False
-        if alpha + beta > nest["total_max"]:
-            return False
-        if "total_parity" in nest and (alpha + beta) % 2 != nest["total_parity"]:
-            return False
-        if alpha == 0 and beta in nest.get("alpha0_beta_excluded", ()):
-            return False
-        if alpha == 1 and beta < nest.get("alpha1_beta_min", 0):
-            return False
-        return True
-    text = shape[1]
-    known_deep = {"<J + 1<1<1>>>", "<J + 1 + 1<1<1>>>"}
-    if text not in known_deep:
-        raise SchemeError(f"scheme {text} is outside the degree-7 grammar")
-    return text in extra
+    return exclusion(code, category) is None
 
 
 def enumerate_schemes(category: str) -> list[RealSchemeCode]:
     """All realizable codes of the category: plain schemes by ascending
     oval count, then nests by (outer, inner), then the deep nests."""
-    nest, plain, extra, _removed = _resolve(category)
-    candidates = [RealSchemeCode(((),) * alpha)
-                  for alpha in range(plain["alpha_min"], plain["alpha_max"] + 1)]
-    candidates += [RealSchemeCode((((),) * beta,) + ((),) * alpha)
-                   for alpha in range(nest["alpha_min"], nest["alpha_max"] + 1)
-                   for beta in range(nest["beta_min"], nest["beta_max"] + 1)]
-    return ([code for code in candidates if realizable(code, category)]
-            + [parse_real_scheme(text) for text in extra])
+    laws, cited = _rules(category)
+    candidates = [RealSchemeCode(((),) * a) for a in range(HARNACK + 1)]
+    candidates += [RealSchemeCode(_nest(a, b))
+                   for a in range(HARNACK) for b in range(1, HARNACK - a)]
+    candidates += map(parse_real_scheme, _DEEP_NESTS)
+    return [code for code in candidates if _exclusion(code, laws, cited) is None]
 
 
 def symmetric_m_complex_schemes() -> list[ComplexSchemeCode]:
     """The complex schemes of nonsingular symmetric M-curves of degree 7."""
-    return [parse_complex_scheme(text)
-            for text in _load_data()["symmetric_m_complex_schemes"]]
+    return list(map(parse_complex_scheme, _load_data()["symmetric_m_complex_schemes"]))
 
 
 def rokhlin_mischachev(lambda_plus: int, lambda_minus: int,
                        pi_plus: int, pi_minus: int,
                        ovals: int, k: int) -> bool:
     """Complex-orientation identity for dividing curves of degree 2k+1:
-    L+ - L- + 2(P+ - P-) = l - k(k+1)."""
+    L+ - L- + 2(P+ - P-) = l - k(k+1), with L counting ovals by sign and
+    P the injective pairs (one oval inside the other) by sign."""
     return lambda_plus - lambda_minus + 2 * (pi_plus - pi_minus) == ovals - k * (k + 1)

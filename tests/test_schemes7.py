@@ -1,4 +1,6 @@
+import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -7,6 +9,7 @@ from ruledcurves.schemes7 import (
     CATEGORIES,
     SchemeError,
     enumerate_schemes,
+    exclusion,
     parse_complex_scheme,
     parse_real_scheme,
     realizable,
@@ -14,6 +17,8 @@ from ruledcurves.schemes7 import (
     render_real_scheme,
     rokhlin_mischachev,
     symmetric_m_complex_schemes,
+    _measure,
+    _orientation_sums,
 )
 
 
@@ -23,8 +28,101 @@ from ruledcurves.schemes7 import (
 SOURCE_MISPRINTS = {"dividing": "<J + 1 + 1<1<1>>>"}
 
 
+# The category blocks of the transcribed tables that the named laws
+# replaced, kept as an oracle. Nest bounds constrain <J + a + 1<b>>
+# through a ("alpha"), b ("beta") and a + b ("total"); plain bounds
+# constrain <J + a>; "extra" lists the admitted deep nests.
+TRANSCRIBED_TABLES = {
+    "any": {
+        "nest": {"total_max": 14, "alpha_min": 0, "alpha_max": 13, "beta_min": 1, "beta_max": 13},
+        "plain": {"alpha_min": 0, "alpha_max": 15},
+        "extra": ["<J + 1<1<1>>>"],
+    },
+    "dividing": {
+        "nest": {"total_max": 14, "alpha_min": 0, "alpha_max": 13, "beta_min": 1, "beta_max": 13,
+                 "total_parity": 0, "alpha0_beta_excluded": [2, 6, 8], "alpha1_beta_min": 5},
+        "plain": {"alpha_min": 7, "alpha_max": 15, "alpha_parity": 1},
+        "extra": ["<J + 1<1<1>>>"],
+    },
+    "non-dividing": {
+        "nest": {"total_max": 13, "alpha_min": 0, "alpha_max": 12, "beta_min": 1, "beta_max": 13},
+        "plain": {"alpha_min": 0, "alpha_max": 14},
+        "extra": [],
+    },
+    "symmetric": {
+        "base": "any",
+        "remove_nests": [[8, 6], [7, 7], [6, 8], [5, 9], [7, 6], [6, 7], [4, 9]],
+    },
+    "symmetric-dividing-pseudoholomorphic": {
+        "base": "dividing",
+        "remove_nests": [[8, 6], [7, 7], [6, 8], [5, 9], [7, 6], [6, 7], [4, 9],
+                         [2, 10], [6, 6], [4, 4]],
+    },
+    "symmetric-dividing-algebraic": {
+        "base": "symmetric-dividing-pseudoholomorphic",
+        "remove_nests": [[8, 4], [4, 8]],
+    },
+    "symmetric-non-dividing": {
+        "base": "non-dividing",
+        "remove_nests": [[8, 6], [7, 7], [6, 8], [5, 9], [7, 6], [6, 7], [4, 9]],
+    },
+}
+
+THM1_NESTS = ((8, 6), (7, 7), (6, 8), (5, 9), (7, 6), (6, 7), (4, 9))
+
+
 def R(text):
     return parse_real_scheme(text)
+
+
+def _nest_text(a, b):
+    return f"<J + {a} + 1<{b}>>" if a else f"<J + 1<{b}>>"
+
+
+def _transcribed(category):
+    """(nest bounds, plain bounds, deep nests, removed (a, b) pairs)."""
+    block, removed = TRANSCRIBED_TABLES[category], set()
+    while "base" in block:
+        removed.update(map(tuple, block["remove_nests"]))
+        block = TRANSCRIBED_TABLES[block["base"]]
+    return block["nest"], block["plain"], block["extra"], removed
+
+
+def transcribed_realizable(text, category):
+    nest, plain, extra, removed = _transcribed(category)
+    code = R(text)
+    a = code.ovals.count(())
+    inner = [o for o in code.ovals if o]
+    if not inner:
+        return (plain["alpha_min"] <= a <= plain["alpha_max"]
+                and a % 2 == plain.get("alpha_parity", a % 2))
+    if any(inner[0]):
+        return text in extra
+    b = len(inner[0])
+    return ((a, b) not in removed
+            and nest["alpha_min"] <= a <= nest["alpha_max"]
+            and nest["beta_min"] <= b <= nest["beta_max"]
+            and a + b <= nest["total_max"]
+            and (a + b) % 2 == nest.get("total_parity", (a + b) % 2)
+            and not (a == 0 and b in nest.get("alpha0_beta_excluded", ()))
+            and not (a == 1 and b < nest.get("alpha1_beta_min", 0)))
+
+
+def transcribed_enumeration(category):
+    nest, plain, extra, _ = _transcribed(category)
+    texts = [f"<J + {a}>" if a else "<J>"
+             for a in range(plain["alpha_min"], plain["alpha_max"] + 1)]
+    texts += [_nest_text(a, b) for a in range(nest["alpha_min"], nest["alpha_max"] + 1)
+              for b in range(nest["beta_min"], nest["beta_max"] + 1)]
+    return [t for t in texts if transcribed_realizable(t, category)] + extra
+
+
+def _grid():
+    """<J + a> for a <= 16, <J + a + 1<b>> for a <= 15 and 1 <= b <= 15,
+    and the two deep nests: up to Harnack's bound and past it."""
+    texts = ["<J>"] + [f"<J + {a}>" for a in range(1, 17)]
+    texts += [_nest_text(a, b) for a in range(0, 16) for b in range(1, 16)]
+    return texts + ["<J + 1<1<1>>>", "<J + 1 + 1<1<1>>>"]
 
 
 def _root_paths(forest):
@@ -36,6 +134,45 @@ def _root_paths(forest):
     depths = sorted((deep for deep, _ in below), reverse=True)
     return (depths[0] if depths else 0,
             max([sum(depths[:2])] + [union for _, union in below]))
+
+
+def _forests(ovals):
+    """Every canonical nesting forest of the given number of ovals."""
+    forests = {()}
+    for _ in range(ovals):
+        forests = {grown for forest in forests for grown in _grow(forest)}
+    return forests
+
+
+def _grow(forest):
+    """The forests with one more oval than a canonical forest."""
+    yield tuple(sorted(forest + ((),), reverse=True))
+    for i, child in enumerate(forest):
+        for grown in _grow(child):
+            yield tuple(sorted(forest[:i] + (grown,) + forest[i + 1:], reverse=True))
+
+
+def _enclosing(forest, around=(), out=None):
+    """Each oval of a forest, as the indices of the ovals around it."""
+    out = [] if out is None else out
+    for children in forest:
+        out.append(around)
+        _enclosing(children, around + (len(out) - 1,), out)
+    return out
+
+
+def test_measure_and_orientation_sums_on_small_forests():
+    """_measure against _root_paths, and _orientation_sums against every
+    signing, with a pair positive when its two signs differ."""
+    for ovals in range(7):
+        for forest in _forests(ovals):
+            assert _measure(forest) == (ovals, *_root_paths(forest)), forest
+            around = _enclosing(forest)
+            sums = {sum(signs) + 2 * sum(1 if signs[i] != signs[j] else -1
+                                         for i in range(ovals) for j in around[i])
+                    for signs in itertools.product((1, -1), repeat=ovals)}
+            assert _orientation_sums(forest) == sums, forest
+    assert len(_forests(6)) == 48
 
 
 def test_parse_render():
@@ -94,14 +231,66 @@ def test_enumerate_cardinalities():
 def test_enumerate_matches_realizable_exhaustively():
     for category in CATEGORIES:
         enumerated = {render_real_scheme(c) for c in enumerate_schemes(category)}
-        everything = ["<J>"]
-        everything += [f"<J + {a}>" for a in range(1, 16)]
-        everything += [f"<J + {a} + 1<{b}>>" if a else f"<J + 1<{b}>>"
-                       for a in range(0, 14) for b in range(1, 14)]
-        everything += ["<J + 1<1<1>>>", "<J + 1 + 1<1<1>>>"]
-        for text in everything:
+        for text in _grid():
             assert (text in enumerated) == realizable(R(text), category), \
                 (category, text)
+
+
+def test_laws_agree_with_the_transcribed_tables():
+    for category in CATEGORIES:
+        assert ([render_real_scheme(c) for c in enumerate_schemes(category)]
+                == transcribed_enumeration(category)), category
+        for text in _grid():
+            assert realizable(R(text), category) == transcribed_realizable(text, category), \
+                (category, text)
+    for text in ("<J + 16>", "<J + 1<14>>", "<J + 1 + 1<1<1>>>"):
+        assert text in _grid()
+
+
+def test_each_exclusion_names_its_law():
+    reasons = {
+        ("<J + 16>", "any"): "Harnack",
+        ("<J + 14 + 1<1>>", "symmetric"): "Harnack",
+        ("<J + 1<2>>", "dividing"): "complex orientation",
+        ("<J + 1 + 1<3>>", "dividing"): "complex orientation",
+        ("<J + 5>", "dividing"): "complex orientation",
+        ("<J + 6>", "dividing"): "type-I parity",
+        ("<J + 15>", "non-dividing"): "type II",
+        ("<J + 1<1<1>>>", "non-dividing"): "type II",
+        ("<J + 1<14>>", "any"): "cited: any",
+        ("<J + 1<14>>", "dividing"): "cited: any",
+        ("<J + 1<6>>", "dividing"): "cited: dividing",
+        ("<J + 1<8>>", "dividing"): "cited: dividing",
+        ("<J + 15>", "dividing"): None,
+        ("<J + 1<4>>", "dividing"): None,
+        ("<J + 1<1<1>>>", "dividing"): None,
+    }
+    for category in CATEGORIES:
+        reasons[("<J + 1 + 1<1<1>>>", category)] = "Bezout"
+    for a, b in THM1_NESTS:
+        reasons[(_nest_text(a, b), "symmetric")] = "cited: symmetric"
+    for a, b in ((2, 10), (6, 6), (4, 4)):
+        reasons[(_nest_text(a, b), "symmetric-dividing-pseudoholomorphic")] = \
+            "cited: symmetric-dividing-pseudoholomorphic"
+    for a, b in ((8, 4), (4, 8)):
+        reasons[(_nest_text(a, b), "symmetric-dividing-algebraic")] = \
+            "cited: symmetric-dividing-algebraic"
+    for (text, category), reason in reasons.items():
+        assert exclusion(R(text), category) == reason, (text, category)
+
+
+def test_exclusions_name_a_law_or_a_citing_block():
+    laws = {"Harnack", "Bezout", "type-I parity", "complex orientation", "type II"}
+    for category in CATEGORIES:
+        named = set()
+        for text in _grid():
+            reason = exclusion(R(text), category)
+            assert (reason is None) == realizable(R(text), category)
+            named.add(reason)
+        named.discard(None)
+        cited = {r for r in named if r.startswith("cited: ")}
+        assert named - cited <= laws, category
+        assert {r[len("cited: "):] for r in cited} <= set(CATEGORIES), category
 
 
 def test_prohibited_families():
@@ -200,6 +389,34 @@ def test_type_ii_complex_schemes():
             == parse_complex_scheme("<J + 1<1<1> + 2>>:II"))
     with pytest.raises(SchemeError):
         parse_complex_scheme("<J + 3p>:II")
+
+
+def test_complex_schemes_satisfy_rokhlin_mishachev():
+    """Each complex scheme's printed signs satisfy R-M, and its real
+    scheme passes the dividing laws. L+/L- count the ovals printed p/m.
+    An injective pair (one oval inside the other) is positive when the
+    complex orientations of its two ovals come from an orientation of
+    the annulus between them. Then [O1] = -[O2] in the Moebius band
+    outside the inner oval, where each oval is homologous to +-2[J], so
+    the two ovals of a positive pair have opposite signs: P+ counts the
+    pairs whose printed signs differ, P- those whose signs agree."""
+    def counts(forest, enclosing=()):
+        lam, pi = Counter(), Counter()
+        for sign, children in forest:
+            lam[sign] += 1
+            pi.update(outer != sign for outer in enclosing)
+            inner_lam, inner_pi = counts(children, enclosing + (sign,))
+            lam += inner_lam
+            pi += inner_pi
+        return lam, pi
+
+    schemes = symmetric_m_complex_schemes()
+    assert len(schemes) == 10
+    for code in schemes:
+        lam, pi = counts(code.ovals)
+        assert rokhlin_mischachev(lam[1], lam[-1], pi[True], pi[False], 15, 3), \
+            render_complex_scheme(code)
+        assert exclusion(code.real_code(), "dividing") is None
 
 
 def test_rokhlin_mischachev():
