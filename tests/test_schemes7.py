@@ -294,7 +294,7 @@ def test_exclusions_name_a_law_or_a_citing_block():
 
 
 def test_prohibited_families():
-    for a, b in ((8, 6), (7, 7), (6, 8), (5, 9), (7, 6), (6, 7), (4, 9)):
+    for a, b in THM1_NESTS:
         text = f"<J + {a} + 1<{b}>>"
         assert realizable(R(text), "any")
         assert not realizable(R(text), "symmetric")
