@@ -10,6 +10,7 @@ certificate provided is triviality at exponent sum zero.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .braid import BraidWord, exponent_sum, is_trivial
@@ -20,9 +21,6 @@ from .laurent import (
     format_poly,
     has_simple_unit_circle_root,
 )
-
-Matrix = tuple[tuple[LaurentPoly, ...], ...]
-
 
 class ConventionError(RuntimeError):
     """An invariant computation hit an identity that the chosen Burau
@@ -75,6 +73,8 @@ def _digit_bytes(value: int, k: int) -> tuple[int, bytes]:
 def _coefficients(raw: bytes, k: int) -> list[int]:
     """The balanced digits c_e of _digit_bytes, lowest first."""
     width, half, from_bytes = k >> 3, 1 << (k - 1), int.from_bytes
+    if width == 8:
+        return [d - half for d in struct.unpack(f"<{len(raw) >> 3}Q", raw)]
     return [from_bytes(raw[i:i + width], "little") - half
             for i in range(0, len(raw), width)]
 
@@ -156,7 +156,7 @@ def _packed_burau(b: BraidWord) -> tuple[int, int, list[list[int]]]:
     return low, k, cols[1:-1]
 
 
-def reduced_burau(b: BraidWord) -> Matrix:
+def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Reduced Burau image of b in B_m, an (m-1)x(m-1) matrix.
 
     Block convention: sigma_i is the identity except for column i-1
@@ -168,8 +168,7 @@ def reduced_burau(b: BraidWord) -> Matrix:
     on Kronecker-packed integers (_packed_burau); each entry is decoded
     once at the end, in O(L) digit steps for L letters."""
     low, k, cols = _packed_burau(b)
-    n = b.strands - 1
-    return tuple(tuple(_decoded(cols[c][r], k, low) for c in range(n)) for r in range(n))
+    return tuple(zip(*([_decoded(x, k, low) for x in col] for col in cols)))
 
 
 # The point at which _burau_mod_p evaluates t. 2^61 - 1 is prime, and 37
@@ -220,47 +219,42 @@ def _burau_witness(b: BraidWord) -> tuple[int, int, int] | None:
     return None
 
 
-def _pack(p: LaurentPoly, k: int) -> tuple[int, int]:
-    """(v, p(X) / X^v) with v the valuation of p and X = 2^k, by Horner's
-    rule; (0, 0) for zero."""
-    if not p.coeffs:
-        return 0, 0
-    low, value, get = min(p.coeffs), 0, p.coeffs.get
-    for e in range(max(p.coeffs), low - 1, -1):
-        value = (value << k) + get(e, 0)
-    return low, value
+def _alexander_residue(b: BraidWord) -> int:
+    """det(_burau_mod_p(b) - I), the image of det(rho(b) - I) at t =
+    _BURAU_POINT in Z/_BURAU_PRIME, by Gaussian elimination in O(m^3)."""
+    p = _BURAU_PRIME
+    a = [[(x - (r == c)) % p for c, x in enumerate(row)] for r, row in enumerate(_burau_mod_p(b))]
+    n, det = len(a), 1
+    for s in range(n):
+        q = next((i for i in range(s, n) if a[i][s]), None)
+        if q is None:
+            return 0
+        if q != s:
+            a[s], a[q], det = a[q], a[s], -det
+        row = a[s]
+        det = det * row[s] % p
+        inverse = pow(row[s], -1, p)
+        for i in range(s + 1, n):
+            if f := a[i][s] * inverse % p:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
+    return det
 
 
-def _unpack(low: int, value: int, k: int) -> LaurentPoly:
-    """Inverse of _pack for coefficients of absolute value below X/2:
-    peel base-X digits off the bottom, and map each digit of at least X/2
-    to digit - X with a carry of 1 into the rest (balanced digits)."""
-    half, mask, coeffs = 1 << (k - 1), (1 << k) - 1, {}
-    while value:
-        d, value = value & mask, value >> k
-        if d >= half:
-            d, value = d - (1 << k), value + 1
-        coeffs[low] = d
-        low += 1
-    return LaurentPoly(coeffs)
+def _det(a: list[list[tuple[int, int]]], k: int) -> tuple[int, int]:
+    """(v, q(X)) for the determinant t^v * q(t) of the square matrix a,
+    X = 2^k, by fraction-free Bareiss elimination (Bareiss 1968) on
+    Kronecker-packed Python integers (Harvey, J. Symbolic Comput. 44
+    (2009) 1502-1510); a is overwritten.
 
-
-def _det(mat: Matrix) -> LaurentPoly:
-    """Exact determinant by fraction-free Bareiss elimination (Bareiss
-    1968) on Kronecker-packed Python integers (Harvey, J. Symbolic
-    Comput. 44 (2009) 1502-1510).
-
-    Representation. Let |p|_1 be the sum of the absolute coefficients of
-    p, H = prod over rows i of max(1, sum_j |a_ij|_1), k = bit_length(H)
-    + 1 and X = 2^k, so that H < X/2. A nonzero entry t^v * p(t), with p
-    in Z[t] and p(0) != 0, is the pair (v, p(X)); zero is (v, 0) for
-    any v. A product adds valuations and multiplies the integers. A
-    difference shifts the term of higher valuation left by k bits per
-    unit of gap. The division by the previous pivot (1 at the first step)
-    is exact integer division and a subtraction of valuations. Each new
-    nonzero entry then moves its trailing zero digits (factors of t) into
-    its valuation. Only the final determinant is decoded, digit by digit
-    in balanced form (_unpack).
+    Representation. An entry t^v * p(t), with p in Z[t] and p(0) != 0,
+    is the pair (v, p(X)); zero is (v, 0) for any v. With |p|_1 the sum
+    of p's absolute coefficients, k must make H < X/2 for H the product
+    over rows (or columns) of max(1, sum_j |a_ij|_1). A product adds
+    valuations and multiplies the integers; a difference shifts the term
+    of higher valuation left by k bits per unit of gap; the division by
+    the previous pivot (1 at first) is exact integer division. Each new
+    nonzero entry moves its trailing zero digits (factors of t) into its
+    valuation.
 
     Exactness. After step s every remaining entry is an (s+2)-minor of
     the row-permuted matrix (Sylvester's identity), so each division is
@@ -269,33 +263,22 @@ def _det(mat: Matrix) -> LaurentPoly:
     Z[t], and since evaluation at X is a ring homomorphism, p(X) // q(X)
     is exact and equals r(X). Every coefficient of a minor is at most its
     |.|_1, which the Leibniz expansion bounds by the product of its rows'
-    sums, and so by H < X/2. Hence for a minor t^v r: r = 0 iff r(X) = 0;
-    t divides r iff X divides r(X), since the lowest nonzero coefficient
-    c of r has 0 < |c| < X/2 and puts at most k - 2 trailing zero bits
-    below its digit; and the balanced base-X digits of r(X) are the
-    coefficients of r. Only minors are zero-tested, stripped or decoded;
-    no numerator is inspected before its division.
+    (or columns') sums, and so by H < X/2. Hence for a minor t^v r: r = 0
+    iff r(X) = 0; t divides r iff X divides r(X), since the lowest
+    nonzero coefficient c of r has 0 < |c| < X/2 and puts at most k - 2
+    trailing zero bits below its digit; and the balanced base-X digits
+    of r(X) are the coefficients of r. Only minors are zero-tested,
+    stripped or decoded; no numerator is inspected before its division.
 
-    Cost. For an n x n matrix whose minors have span at most d, the
-    packed integers have at most about (d + 1) * k bits. The elimination
-    makes O(n^3) products (Karatsuba in CPython) and exact divisions
-    (schoolbook, quadratic in the bits). Packing each of the n^2 entries
-    and decoding the result are quadratic in their digits: O(d^2 * k)
-    bit operations each."""
-    n = len(mat)
-    bound = 1
-    for row in mat:
-        bound *= max(1, sum(abs(c) for entry in row for c in entry.coeffs.values()))
-    k = bound.bit_length() + 1
-    a = [[_pack(entry, k) for entry in row] for row in mat]
-    negate, prev_low, prev = False, 0, 1
+    Cost. O(n^3) products (Karatsuba in CPython) and exact divisions
+    (schoolbook) of about (d + 1) * k bits, d the widest minor's span."""
+    n, negate, prev_low, prev = len(a), False, 0, 1
     for s in range(n):
         p = next((i for i in range(s, n) if a[i][s][1]), None)
         if p is None:
-            return LaurentPoly.zero()
+            return 0, 0
         if p != s:
-            a[s], a[p] = a[p], a[s]
-            negate = not negate
+            a[s], a[p], negate = a[p], a[s], not negate
         row = a[s]
         pivot_low, pivot = row[s]
         for i in range(s + 1, n):
@@ -320,26 +303,35 @@ def _det(mat: Matrix) -> LaurentPoly:
                     num, low = num >> k * zeros, low + zeros
                 ai[j] = low, num
         prev_low, prev = pivot_low, pivot
-    return _unpack(prev_low, -prev if negate else prev, k)
+    return prev_low, -prev if negate else prev
 
 
 def alexander_polynomial(b: BraidWord) -> LaurentPoly:
     """Alexander polynomial of the closure of b, unit-normalised; 0 when
     det(rho(b) - I) vanishes. The division by 1 + t + ... + t^(m-1) must
-    be exact, otherwise the representation convention is broken."""
-    m = b.strands
-    mat = reduced_burau(b)
-    diff = tuple(
-        tuple(mat[i][j] - (LaurentPoly.one() if i == j else LaurentPoly.zero())
-              for j in range(m - 1))
-        for i in range(m - 1)
-    )
-    d = _det(diff)
-    if d.is_zero():
+    be exact, otherwise the representation convention is broken.
+
+    rho(b) - I goes to _det packed and transposed, I being X^-low on the
+    diagonal (a digit >= -X/2 still decodes). Each entry is decoded once,
+    for the column sums giving H; _det runs at max(k, bit_length(H) + 1 in
+    whole bytes), via _widen. The determinant is decoded by the same codec."""
+    low, k, cols = _packed_burau(b)
+    one = 1 << k * -low
+    diff = [[x - one if r == c else x for r, x in enumerate(col)] for c, col in enumerate(cols)]
+    digits = [[_digit_bytes(x, k) for x in col] for col in diff]
+    bound = math.prod(max(1, sum(sum(map(abs, _coefficients(raw, k))) for _, raw in col))
+                      for col in digits)
+    wide = max(k, (bound.bit_length() + 8) & ~7)
+    if wide == k:
+        a = [[(low + v, x >> k * v) for x, (v, _) in zip(xs, ds)] for xs, ds in zip(diff, digits)]
+    else:
+        a = [[(low + v, _widen(0, raw, k, wide)) for v, raw in ds] for ds in digits]
+    d_low, d = _det(a, wide)
+    if not d:
         return LaurentPoly.zero()
-    divisor = LaurentPoly({e: 1 for e in range(m)})
+    divisor = LaurentPoly({e: 1 for e in range(b.strands)})
     try:
-        quotient = divide_exact(d.normalized_unit(), divisor)
+        quotient = divide_exact(_decoded(d, wide, d_low).normalized_unit(), divisor)
     except LaurentError as exc:
         raise ConventionError(
             f"Alexander normalisation divisor does not divide det(rho(b)-I): {exc}"
@@ -385,13 +377,20 @@ def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
       on the unit circle (for quasipositive braids at this exponent sum
       every unit-circle root has order at least two);
     - square, e(b) = m-1: |Delta(-1)| is not a perfect square.
-    The Alexander polynomial is computed at most once."""
+    alex first tries det(rho(t) - I) = +-t^j Delta (1 + ... + t^(m-1)) at a
+    point mod a prime (_alexander_residue); a nonzero residue proves Delta
+    != 0 and is the witness. Else, and at e(b) = m-1, Delta is computed once."""
     m, e = b.strands, exponent_sum(b)
     if e > m - 1:
         return ()
-    p = alexander_polynomial(b)
     if e < m - 1:
+        residue = _alexander_residue(b)
+        if residue:
+            return (Obstruction("alex", m, e, f"det(rho(t) - I) at t = {_BURAU_POINT}"
+                                              f" mod {_BURAU_PRIME} = {residue}"),)
+        p = alexander_polynomial(b)
         return () if p.is_zero() else (Obstruction("alex", m, e, format_poly(p)),)
+    p = alexander_polynomial(b)
     fired = []
     if not p.is_zero() and has_simple_unit_circle_root(p):
         fired.append(Obstruction("double_alex", m, e, format_poly(p)))

@@ -12,7 +12,8 @@ with possibly negative exponents (t^-2). The parser additionally accepts
 products of parenthesised factors with integer powers, e.g.
 (t-1)^3*(t^2+1), which keeps fixture files close to factored values. A
 product or power whose degree span would pass MAX_POLY_SPAN is refused
-before it is expanded, so a short text cannot ask for unbounded work.
+before it is expanded, so a short text cannot ask for unbounded work, and
+parentheses nested deeper than MAX_POLY_DEPTH are refused as well.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ class LaurentError(ValueError):
 # Widest degree span (highest minus lowest exponent) the parser expands a
 # product or power to; (t+1)^1024 expands in about 0.15 s.
 MAX_POLY_SPAN = 1024
+# Deepest nesting of parentheses the parser, which recurses once per
+# level, accepts.
+MAX_POLY_DEPTH = 8
 
 
 class LaurentPoly:
@@ -393,7 +397,7 @@ class _Parser:
             for kind, val in m.groupdict().items():
                 if val is not None:
                     self.tokens.append((kind, val))
-        self.i = 0
+        self.i = self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -429,10 +433,14 @@ class _Parser:
         kind = self.peek()
         if kind == "lpar":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_POLY_DEPTH:
+                raise LaurentError(f"parentheses nested deeper than {MAX_POLY_DEPTH}")
             inner = self.parse_expr()
             if self.peek() != "rpar":
                 raise LaurentError("unbalanced parentheses in polynomial")
             self.take()
+            self.depth -= 1
             if self.peek() == "pow":
                 k = int(self.take()[1][1:])
                 if k * max(_span(inner), 1) > MAX_POLY_SPAN:

@@ -65,13 +65,17 @@ def _canon(nodes) -> tuple:
 # -- text form ----------------------------------------------------------
 
 _ITEM = re.compile(r"(\d+)([pm]?)")
+# Deepest oval the parser accepts, J not counted; degree 7 allows 3. The
+# parser recurses once per level, so deeper text is refused, not parsed.
+MAX_NESTING = 8
 
 
 class _SchemeParser:
     """``<J + item + ...>``, where an item is a count, a p/m sign when the
     scheme is signed, and an optional nested ``<item + ...>`` group. A
     scheme of more than MAX_WORD_LENGTH ovals, nested copies included,
-    is refused before it is built."""
+    or with ovals nested deeper than MAX_NESTING, is refused before it is
+    built."""
 
     def __init__(self, text: str, signed: bool):
         self.text = text
@@ -100,23 +104,26 @@ class _SchemeParser:
     def parse(self) -> tuple:
         self.expect("<")
         self.expect("J")
-        ovals = self.group(after_item=True)  # J is the first item
+        ovals = self.group(after_item=True, depth=1)  # J is the first item
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
         return ovals
 
-    def group(self, after_item: bool) -> tuple:
-        """The '+'-separated items up to the closing '>', in canonical order."""
+    def group(self, after_item: bool, depth: int) -> tuple:
+        """The '+'-separated items up to the closing '>', in canonical
+        order, each an oval at the given depth."""
+        if depth > MAX_NESTING:
+            self.error(f"ovals nested deeper than {MAX_NESTING}")
         ovals = []
         while not self.accept(">"):
             if after_item:
                 self.expect("+")
             after_item = True
-            ovals.extend(self.item())
+            ovals.extend(self.item(depth))
         return _canon(ovals)
 
-    def item(self) -> list:
+    def item(self, depth: int) -> list:
         self.skip_ws()
         m = _ITEM.match(self.text, self.pos)
         if not m:
@@ -128,7 +135,7 @@ class _SchemeParser:
         if not self.signed and sign:
             self.error("unexpected sign in a real scheme")
         before = self.size
-        children = self.group(after_item=False) if self.accept("<") else ()
+        children = self.group(after_item=False, depth=depth + 1) if self.accept("<") else ()
         self.size = before + count * (1 + self.size - before)
         if self.size > MAX_WORD_LENGTH:
             self.error(f"scheme of more than {MAX_WORD_LENGTH} ovals")

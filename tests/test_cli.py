@@ -146,6 +146,19 @@ def test_oval_count_beyond_the_cap_exit_code(capsys):
     assert "more than 100000 ovals" in err
 
 
+def test_nesting_beyond_the_cap_exit_code(tmp_path, capsys):
+    deep = "<J + " + "1<" * 1499 + "1" + ">" * 1500
+    code, _, err = run(capsys, "classify", deep, "any")
+    assert code == 1
+    assert "nested deeper than 8" in err
+    bad = tmp_path / "registry.txt"
+    bad.write_text(f"deep | braid | strands=3; s1 s2 | alexander={'(' * 1500}t{')' * 1500}"
+                   " | check\n")
+    code, out, _ = run(capsys, "repro", "--registry", str(bad))
+    assert code == 2
+    assert "nested deeper than 8" in out
+
+
 def test_wide_polynomial_in_a_registry_fails_the_fixture(tmp_path, capsys):
     bad = tmp_path / "registry.txt"
     bad.write_text("wide | braid | strands=3; s1 s2 | alexander=(t+1)^1000000000 | check\n")

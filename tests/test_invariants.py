@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ruledcurves import invariants
 from ruledcurves.braid import (
     compose,
     conjugate,
@@ -25,6 +26,7 @@ from ruledcurves.invariants import (
     _SPARE_BITS,
     _START_WIDTH,
     ConventionError,
+    _alexander_residue,
     _burau_mod_p,
     _burau_witness,
     _coefficients,
@@ -42,7 +44,8 @@ from ruledcurves.invariants import (
     quasipositivity_verdict,
     reduced_burau,
 )
-from ruledcurves.laurent import LaurentPoly, format_poly, parse_poly
+from ruledcurves.cli import load_registry
+from ruledcurves.laurent import LaurentPoly, divide_exact, format_poly, parse_poly
 
 from matrices import mat_mul
 
@@ -98,6 +101,39 @@ def leibniz_det(mat, one):
     return total
 
 
+def pack(p, k):
+    """(v, p(X) / X^v) with v the valuation of p and X = 2^k, by Horner's
+    rule; (0, 0) for zero."""
+    if not p.coeffs:
+        return 0, 0
+    low, value = min(p.coeffs), 0
+    for e in range(max(p.coeffs), low - 1, -1):
+        value = (value << k) + p.coeffs.get(e, 0)
+    return low, value
+
+
+def unpack(low, value, k):
+    """Inverse of pack for coefficients of absolute value below X/2: peel
+    base-X digits off the bottom, mapping each digit of at least X/2 to
+    digit - X with a carry of 1 (balanced digits)."""
+    half, mask, coeffs = 1 << (k - 1), (1 << k) - 1, {}
+    while value:
+        d, value = value & mask, value >> k
+        if d >= half:
+            d, value = d - (1 << k), value + 1
+        coeffs[low] = d
+        low += 1
+    return LaurentPoly(coeffs)
+
+
+def packed_det(mat):
+    """_det of a matrix of LaurentPoly entries: each entry packed at the
+    least width k with H < 2^(k-1), H the product of the rows'
+    absolute coefficient sums, and the result unpacked."""
+    k = coefficient_bound(mat).bit_length() + 1
+    return unpack(*_det([[pack(x, k) for x in row] for row in mat], k), k)
+
+
 def random_laurent(rng):
     if rng.random() < 0.3:
         return LaurentPoly.zero()
@@ -114,7 +150,7 @@ def test_det_against_leibniz_on_random_matrices():
     for n in range(7):
         for _ in range(12 if n < 6 else 3):
             mat = tuple(tuple(random_laurent(rng) for _ in range(n)) for _ in range(n))
-            assert _det(mat) == leibniz_det(mat, one)
+            assert packed_det(mat) == leibniz_det(mat, one)
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -135,7 +171,7 @@ def test_det_pivoting_cases(rows, expected):
     leibniz = leibniz_det(mat, LaurentPoly.one())
     if expected is not None:
         assert leibniz == parse_poly(expected)
-    assert _det(mat) == leibniz
+    assert packed_det(mat) == leibniz
 
 
 def coefficient_bound(mat):
@@ -175,7 +211,7 @@ def test_det_packing_against_leibniz():
             for row in mat:
                 row[c] = row[c].shift(shift)
             mat = tuple(tuple(row) for row in mat)
-            assert _det(mat) == leibniz_det(mat, one)
+            assert packed_det(mat) == leibniz_det(mat, one)
 
 
 def test_det_packing_at_the_coefficient_bound():
@@ -195,12 +231,12 @@ def test_det_packing_at_the_coefficient_bound():
                         for r in range(n))
             det = leibniz_det(mat, one)
             assert [abs(c) for c in det.coeffs.values()] == [coefficient_bound(mat)]
-            assert _det(mat) == det
+            assert packed_det(mat) == det
             upper = tuple(tuple(diagonal[r] if c == r else
                                 wide_monomial(rng, 2) if c > r else zero
                                 for c in range(n)) for r in range(n))
             for tri in (upper, tuple(zip(*upper)), upper[::-1]):
-                assert _det(tri) == leibniz_det(tri, one)
+                assert packed_det(tri) == leibniz_det(tri, one)
 
 
 def test_burau_against_block_matrix_products():
@@ -413,11 +449,87 @@ def test_alexander_at_sixteen_strands_against_evaluated_blocks():
     assert time.perf_counter() - start < 1.0
 
 
+def laurent_alexander(b):
+    """The Laurent pipeline as an oracle: the decoded Burau image minus I
+    in LaurentPoly arithmetic, its determinant through packed_det, which
+    the Leibniz tests pin, and the division by 1 + t + ... + t^(m-1)."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    diff = [[x - (one if r == c else zero) for c, x in enumerate(row)]
+            for r, row in enumerate(reduced_burau(b))]
+    d = packed_det(diff)
+    if d.is_zero():
+        return d
+    return divide_exact(d.normalized_unit(),
+                        LaurentPoly({e: 1 for e in range(b.strands)})).normalized_unit()
+
+
+def test_packed_alexander_against_the_laurent_pipeline():
+    rng = random.Random(109)
+    words = [random_word(rng, m, max_len=60) for m in range(2, 13) for _ in range(5)]
+    words += [identity(m) for m in (2, 3, 6)]
+    words += [word(m, [-rng.randint(1, m - 1) for _ in range(40)]) for m in (2, 4, 7)]
+    words += [compose(w, inverse(w)) for w in (random_word(rng, m, max_len=30)
+                                               for m in (3, 5, 8))]
+    words += [bigelow_kernel_element()]
+    zeros = 0
+    for b in words:
+        expected = laurent_alexander(b)
+        assert alexander_polynomial(b) == expected
+        zeros += expected.is_zero()
+    assert zeros >= 7
+
+
+def bound_bits(b):
+    """bit_length(H), H the product of the column sums of the absolute
+    coefficients of rho(b) - I."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    columns = [[x - (one if r == c else zero) for r, x in enumerate(col)]
+               for c, col in enumerate(zip(*reduced_burau(b)))]
+    return coefficient_bound(columns).bit_length()
+
+
+def test_packed_alexander_width_follows_the_bound(monkeypatch):
+    # The determinant runs at bit_length(H) + 1 in whole bytes, or at the
+    # Burau width k when that is wider: k on a short 3-braid, wider on a
+    # long 10-braid and on the first seeded 10-braid whose bit_length(H)
+    # is a multiple of 8, where the + 1 takes one more byte.
+    rng = random.Random(127)
+    on_a_byte = next(b for b in (word(10, random_letters(rng, 10, length))
+                                 for length in range(60, 200, 2))
+                     if bound_bits(b) % 8 == 0 and bound_bits(b) >= _START_WIDTH)
+    widths = count_calls(monkeypatch, "_det")
+    for b, widened in ((word(3, [1, 2, -1, 2]), False),
+                       (word(10, random_letters(random.Random(113), 10, 100)), True),
+                       (on_a_byte, True)):
+        widths.clear()
+        assert alexander_polynomial(b) == laurent_alexander(b)
+        k = _packed_burau(b)[1]
+        wide = max(k, (bound_bits(b) + 8) & ~7)
+        assert [w for _, w in widths] == [wide] and (wide > k) == widened
+
+
+def test_alexander_residue_with_row_swaps(monkeypatch):
+    # Burau images rarely need a row swap mod p, so the elimination's
+    # pivoting is checked on matrices given in place of _burau_mod_p:
+    # zero pivots on and below the diagonal, against rational elimination.
+    rng = random.Random(131)
+    swaps = 0
+    for n in range(1, 6):
+        for _ in range(20):
+            rows = [[rng.choice((0, 0, 1, 1, rng.randrange(P))) for _ in range(n)]
+                    for _ in range(n)]
+            monkeypatch.setattr(invariants, "_burau_mod_p", lambda b, rows=rows: rows)
+            diff = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(rows)]
+            swaps += n > 1 and not diff[0][0] and any(row[0] for row in diff)
+            assert _alexander_residue(identity(n + 1)) == fraction_det(diff).numerator % P
+    assert swaps >= 5
+
+
 def test_burau_determinant_convention():
     # det(rho(sigma_i)) = -t for every generator pins the convention.
     for m in range(2, 6):
         for i in range(1, m):
-            assert _det(reduced_burau(word(m, [i]))) == LaurentPoly.term(-1, 1)
+            assert packed_det(reduced_burau(word(m, [i]))) == LaurentPoly.term(-1, 1)
 
 
 def test_burau_relations():
@@ -464,7 +576,8 @@ def test_alex_obstruction():
     b5 = parse_braid("strands=3; s1^-4 s2^2 s1^-3 s2^-1 s1 D^2")
     fired = obstruction(b5, "alex")
     assert fired is not None and fired.test == "alex"
-    assert fired.witness == "t^3 - 3*t^2 + 3*t - 1"
+    assert alexander_polynomial(b5) == parse_poly("t^3 - 3*t^2 + 3*t - 1")
+    rederive_alex_witness(b5, fired.witness)
     # zero polynomial: no obstruction
     b1_150 = parse_braid(
         "strands=3; s1^-1 s2^-1 s1 s1^-1 s2^2 s1 s2^-5 s1^-1 s2 s1^-1 s2^-1 s1 D^2")
@@ -472,6 +585,86 @@ def test_alex_obstruction():
     assert obstruction(b1_150, "alex") is None
     # e = m - 1: not applicable
     assert obstruction(word(2, [1]), "alex") is None
+
+
+ALEX_WITNESS = re.compile(r"det\(rho\(t\) - I\) at t = (\d+) mod (\d+) = (\d+)")
+
+
+def block_residue(b, t=37):
+    """det(rho(b) - I) at t modulo 2^61 - 1, from products of the
+    one-letter block matrices reduced mod p and rational elimination."""
+    m = b.strands
+    rho = [[int(r == c) for c in range(m - 1)] for r in range(m - 1)]
+    for letter in b.letters:
+        block = block_matrix(m, letter, t, pow(t, -1, P), 1, 0)
+        rho = [[x % P for x in row] for row in sparse_mul(rho, block)]
+    det = fraction_det([[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(rho)])
+    assert det.denominator == 1
+    return det.numerator % P
+
+
+def rederive_alex_witness(b, witness):
+    """Checks that witness gives det(rho(t) - I) at t = 37 mod 2^61 - 1,
+    that it is nonzero, and that it is +-37^j * Delta(37) * (1 + 37 + ...
+    + 37^(m-1)) for the Alexander polynomial Delta and some |j| <= L + m."""
+    match = ALEX_WITNESS.fullmatch(witness)
+    assert match, witness
+    t, p, residue = map(int, match.groups())
+    assert (t, p) == (37, P) and residue == block_residue(b) != 0
+    delta = alexander_polynomial(b)
+    value = sum(c * pow(t, e, P) for e, c in delta.coeffs.items()) * sum(
+        pow(t, e, P) for e in range(b.strands)) % P
+    reach = len(b.letters) + b.strands
+    units = {s * pow(t, j, P) % P for s in (1, -1) for j in range(-reach, reach + 1)}
+    assert residue * pow(value, -1, P) % P in units
+
+
+def word_with_sum(rng, m, length, e):
+    """A shuffled word on m strands of about the given length with
+    exponent sum e."""
+    length += (length - e) % 2
+    signs = [1] * ((length + e) // 2) + [-1] * ((length - e) // 2)
+    rng.shuffle(signs)
+    return word(m, [s * rng.randint(1, m - 1) for s in signs])
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_alex_residue_decides_as_the_exact_polynomial(m):
+    # Every e < m - 1 that obstructions(b) evaluates mod p, with the
+    # fired sets of the exact-Delta rule: alex iff Delta != 0.
+    rng = random.Random(1000 + m)
+    for e in range(-1, m - 1):
+        for length in (3 * m, 6 * m):
+            b = word_with_sum(rng, m, length, e)
+            residue, delta = _alexander_residue(b), alexander_polynomial(b)
+            assert not residue or not delta.is_zero()
+            assert [o.test for o in obstructions(b)] == (["alex"] if delta else [])
+            if residue:
+                rederive_alex_witness(b, obstruction(b, "alex").witness)
+
+
+def count_calls(monkeypatch, name):
+    """Replaces invariants.<name> by a wrapper that lists its arguments."""
+    calls, real = [], getattr(invariants, name)
+    monkeypatch.setattr(invariants, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_alex_falls_back_to_delta_only_on_a_zero_residue(monkeypatch):
+    fixtures = [parse_braid(f["input"]) for f in load_registry()
+                if "not_fires=alex" in f["expectation"]]
+    rng = random.Random(107)
+    halves = [random_word(rng, m, max_len=20) for m in range(2, 9)]
+    zero_residue = fixtures + [compose(w, inverse(w)) for w in halves]
+    assert len(fixtures) == 4
+    calls = count_calls(monkeypatch, "alexander_polynomial")
+    for b in zero_residue:
+        calls.clear()
+        assert _alexander_residue(b) == 0
+        assert obstructions(b) == () and calls == [(b,)]
+    b5 = parse_braid("strands=3; s1^-4 s2^2 s1^-3 s2^-1 s1 D^2")
+    calls.clear()
+    assert [o.test for o in obstructions(b5)] == ["alex"] and calls == []
 
 
 def test_double_alex_obstruction():

@@ -7,6 +7,7 @@ import pytest
 from ruledcurves.braid import MAX_WORD_LENGTH
 from ruledcurves.schemes7 import (
     CATEGORIES,
+    MAX_NESTING,
     SchemeError,
     enumerate_schemes,
     exclusion,
@@ -221,6 +222,23 @@ def test_oval_count_beyond_the_cap_is_refused():
     assert len(R(f"<J + {MAX_WORD_LENGTH}>").ovals) == MAX_WORD_LENGTH
     assert len(R("<J + 999<99>>").ovals) == 999
     assert realizable(R("<J + 16>"), "any") is False
+
+
+def nested(depth, sign=""):
+    """<J + 1<1<...1...>>> with ovals nested depth deep."""
+    return "<J + " + f"1{sign}<" * (depth - 1) + f"1{sign}" + ">" * depth
+
+
+def test_nesting_beyond_the_cap_is_refused():
+    # The parser recurses once per level: 1,500 levels would pass the
+    # interpreter's recursion limit, so they are refused at the cap.
+    for depth in (MAX_NESTING + 1, 1500):
+        with pytest.raises(SchemeError, match=f"deeper than {MAX_NESTING}"):
+            R(nested(depth))
+        with pytest.raises(SchemeError, match=f"deeper than {MAX_NESTING}"):
+            parse_complex_scheme(nested(depth, "p") + ":I")
+    assert render_real_scheme(R(nested(MAX_NESTING))) == nested(MAX_NESTING)
+    assert render_real_scheme(R(nested(3))) == "<J + 1<1<1>>>"
 
 
 def test_enumerate_cardinalities():
