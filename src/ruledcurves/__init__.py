@@ -63,7 +63,6 @@ from .schemes7 import (
     realizable,
     render_complex_scheme,
     render_real_scheme,
-    rokhlin_mischachev,
     symmetric_m_complex_schemes,
 )
 

@@ -255,6 +255,15 @@ MAX_WORD_LENGTH = 100_000
 # "strands=64; s1" takes about 0.06 s.
 MAX_STRANDS = 64
 
+
+def parse_int(digits: str, error: type[ValueError]) -> int:
+    """int(digits), or the parser's error where int() refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise error(f"number of {len(digits)} digits is too long") from exc
+
+
 _HEADER = re.compile(r"^\s*strands\s*=\s*(\d+)\s*;\s*")
 _TOKEN = re.compile(r"^(?:s(\d+)(?:\^(-?\d+))?|D(?:\^(-?\d+))?)$")
 
@@ -266,7 +275,7 @@ def parse_braid(text: str) -> BraidWord:
     m = _HEADER.match(text)
     if not m:
         raise BraidError("braid text must start with 'strands=<m>;'")
-    strands = int(m.group(1))
+    strands = parse_int(m.group(1), BraidError)
     if not 2 <= strands <= MAX_STRANDS:
         raise BraidError(f"strands must be between 2 and {MAX_STRANDS}")
     letters: list[int] = []
@@ -275,13 +284,13 @@ def parse_braid(text: str) -> BraidWord:
         if not tm:
             raise BraidError(f"bad braid token {token!r}")
         if tm.group(1) is not None:
-            i = int(tm.group(1))
-            k = int(tm.group(2)) if tm.group(2) is not None else 1
+            i = parse_int(tm.group(1), BraidError)
+            k = parse_int(tm.group(2), BraidError) if tm.group(2) is not None else 1
             if not 1 <= i <= strands - 1:
                 raise BraidError(f"generator s{i} out of range for {strands} strands")
             length = abs(k)
         else:
-            k = int(tm.group(3)) if tm.group(3) is not None else 1
+            k = parse_int(tm.group(3), BraidError) if tm.group(3) is not None else 1
             length = abs(k) * delta_length(strands)
         if len(letters) + length > MAX_WORD_LENGTH:
             raise BraidError(f"braid word longer than {MAX_WORD_LENGTH} letters")

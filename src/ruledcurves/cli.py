@@ -31,7 +31,7 @@ EXIT_CONVENTION = 3
 
 _PARSE_ERRORS = (
     LaurentError, braids.BraidError, lschemes.LSchemeError,
-    combs.CombError, schemes7.SchemeError, ValueError,
+    combs.CombError, schemes7.SchemeError, ValueError, OSError,
 )
 
 

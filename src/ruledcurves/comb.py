@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .braid import MAX_WORD_LENGTH
+from .braid import MAX_WORD_LENGTH, parse_int
 
 Comb = tuple[int, ...]
 Matching = tuple[tuple[int, int], ...]
@@ -240,7 +240,8 @@ def algebraic_realizability_verdict(ls) -> bool:
 
 # -- text form ----------------------------------------------------------
 
-_COMB_GROUP = re.compile(r"\(([^()]*)\)\^(\d+)")
+# A body with a bad token does not match: it is refused, not copied k times.
+_COMB_GROUP = re.compile(r"\(((?:\s*g[1-6])*\s*)\)\^(\d+)")
 _COMB_TOKEN = re.compile(r"^g([1-6])$")
 
 
@@ -255,10 +256,11 @@ def parse_comb(text: str) -> Comb:
         if not m:
             break
         head, body, tail = text[:m.start()], m.group(1).split(), text[m.end():]
-        k = int(m.group(2))
+        k = parse_int(m.group(2), CombError)
         if len(head.split()) + len(body) * k + len(tail.split()) > MAX_WORD_LENGTH:
             raise CombError(f"comb longer than {MAX_WORD_LENGTH} letters")
-        text = head + (f" {' '.join(body * k)} " if k else "") + tail
+        # k passes the cap only for an empty body, and [] * k overflows past sys.maxsize
+        text = head + (f" {' '.join(body * min(k, MAX_WORD_LENGTH))} " if k else "") + tail
     word = []
     for token in text.split():
         tm = _COMB_TOKEN.match(token)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, exponent_sum, is_trivial
 from .laurent import (
-    LaurentError,
     LaurentPoly,
-    divide_exact,
+    divide_exact,  # noqa: F401 -- perfbench/tracing.py wraps it in this namespace
     format_poly,
     has_simple_unit_circle_root,
 )
@@ -314,7 +313,11 @@ def alexander_polynomial(b: BraidWord) -> LaurentPoly:
     rho(b) - I goes to _det packed and transposed, I being X^-low on the
     diagonal (a digit >= -X/2 still decodes). Each entry is decoded once,
     for the column sums giving H; _det runs at max(k, bit_length(H) + 1 in
-    whole bytes), via _widen. The determinant is decoded by the same codec."""
+    whole bytes), via _widen. The determinant's digits det_0..det_D, by the
+    same codec, are divided there: (1 - t) det = Delta (1 - t^m) gives
+    Delta_j = det_j - det_(j-1) + Delta_(j-m), exact iff D >= m - 1 and the
+    m terms after Delta_(D-m+1) vanish. det_0 != 0, so only the sign is set."""
+    m = b.strands
     low, k, cols = _packed_burau(b)
     one = 1 << k * -low
     diff = [[x - one if r == c else x for r, x in enumerate(col)] for c, col in enumerate(cols)]
@@ -326,23 +329,23 @@ def alexander_polynomial(b: BraidWord) -> LaurentPoly:
         a = [[(low + v, x >> k * v) for x, (v, _) in zip(xs, ds)] for xs, ds in zip(diff, digits)]
     else:
         a = [[(low + v, _widen(0, raw, k, wide)) for v, raw in ds] for ds in digits]
-    d_low, d = _det(a, wide)
+    d = _det(a, wide)[1]
     if not d:
         return LaurentPoly.zero()
-    divisor = LaurentPoly({e: 1 for e in range(b.strands)})
-    try:
-        quotient = divide_exact(_decoded(d, wide, d_low).normalized_unit(), divisor)
-    except LaurentError as exc:
+    det = _coefficients(_digit_bytes(d, wide)[1], wide)
+    delta = [x - y for x, y in zip(det + [0], [0] + det)]
+    for j in range(m, len(delta)):
+        delta[j] += delta[j - m]
+    if any(delta[-m:]):
         raise ConventionError(
-            f"Alexander normalisation divisor does not divide det(rho(b)-I): {exc}"
-        ) from exc
-    return quotient.normalized_unit()
+            f"1 + t + ... + t^{m - 1} does not divide det(rho(b) - I) of degree {len(det) - 1}")
+    return LaurentPoly({e: c if delta[-m - 1] > 0 else -c for e, c in enumerate(delta[:-m])})
 
 
 def _determinant(p: LaurentPoly) -> int:
-    """|p(-1)|: the determinant of the closure when p is its Alexander
-    polynomial."""
-    value = p.eval_at(-1)
+    """|p(-1)|, the alternating sum of p's coefficients by exponent parity:
+    the determinant of the closure when p is its Alexander polynomial."""
+    value = sum(-c if e & 1 else c for e, c in p.coeffs.items())
     if value.denominator != 1:
         raise ConventionError(f"Delta(-1) = {value} is not an integer")
     return abs(int(value))

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+
+from .braid import parse_int
 
 
 class LaurentError(ValueError):
@@ -139,17 +140,7 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
-    # -- evaluation and normalisation ----------------------------------
-
-    def eval_at(self, x: int) -> Fraction:
-        """Exact evaluation at a nonzero integer; a Fraction in general
-        (an integer whenever there are no negative exponents)."""
-        if x == 0:
-            raise LaurentError("evaluation point must be nonzero")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += Fraction(c) * (Fraction(x) ** e)
-        return total
+    # -- normalisation -------------------------------------------------
 
     def normalized_unit(self) -> LaurentPoly:
         """Multiply by a unit ±t^k so that the lowest exponent is 0 and the
@@ -442,18 +433,18 @@ class _Parser:
             self.take()
             self.depth -= 1
             if self.peek() == "pow":
-                k = int(self.take()[1][1:])
+                k = parse_int(self.take()[1][1:], LaurentError)
                 if k * max(_span(inner), 1) > MAX_POLY_SPAN:
                     raise LaurentError(f"power wider than {MAX_POLY_SPAN} degrees")
                 inner = inner ** k
             return inner
         if kind == "int":
-            return LaurentPoly.term(int(self.take()[1]))
+            return LaurentPoly.term(parse_int(self.take()[1], LaurentError))
         if kind == "t":
             self.take()
             exp = 1
             if self.peek() == "pow":
-                exp = int(self.take()[1][1:])
+                exp = parse_int(self.take()[1][1:], LaurentError)
             return LaurentPoly.term(1, exp)
         raise LaurentError("expected a monomial or parenthesised factor")
 

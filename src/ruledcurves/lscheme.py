@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
-from .braid import MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce
+from .braid import (
+    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce, parse_int,
+)
 from .comb import WeightedComb
 
 
@@ -125,7 +127,7 @@ def parse_scheme(text: str) -> LScheme:
     header = _HEADER.match(text)
     if not header:
         raise LSchemeError("scheme text must start with 'n=<int> m=<int>;'")
-    n, m = int(header.group(1)), int(header.group(2))
+    n, m = (parse_int(digits, LSchemeError) for digits in header.groups())
     if m > MAX_STRANDS:
         raise LSchemeError(f"more than {MAX_STRANDS} strands")
     if n * delta_length(m) > MAX_WORD_LENGTH:
@@ -136,7 +138,7 @@ def parse_scheme(text: str) -> LScheme:
         tm = _TOKEN.match(token)
         if not tm:
             raise LSchemeError(f"bad scheme token {token!r}")
-        count = int(tm.group(4)) if tm.group(4) else 1
+        count = parse_int(tm.group(4), LSchemeError) if tm.group(4) else 1
         if count < 1:
             raise LSchemeError(f"bad repetition in token {token!r}")
         if len(events) + count > MAX_WORD_LENGTH:
@@ -144,7 +146,7 @@ def parse_scheme(text: str) -> LScheme:
         if tm.group(3):
             ev = Event(tm.group(3), 0)
         else:
-            ev = Event(tm.group(1), int(tm.group(2)))
+            ev = Event(tm.group(1), parse_int(tm.group(2), LSchemeError))
         events.extend([ev] * count)
     return LScheme(n, m, tuple(events))
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .braid import MAX_WORD_LENGTH
+from .braid import MAX_WORD_LENGTH, parse_int
 
 Forest = tuple  # recursively: tuple of ovals, each oval a Forest of children
 
@@ -129,7 +129,7 @@ class _SchemeParser:
         if not m:
             self.error("expected an oval count")
         self.pos = m.end()
-        count, sign = int(m.group(1)), m.group(2)
+        count, sign = parse_int(m.group(1), SchemeError), m.group(2)
         if self.signed and not sign:
             self.error("complex schemes need a p/m sign on every oval")
         if not self.signed and sign:
@@ -306,11 +306,3 @@ def symmetric_m_complex_schemes() -> list[ComplexSchemeCode]:
     """The complex schemes of nonsingular symmetric M-curves of degree 7."""
     return list(map(parse_complex_scheme, _load_data()["symmetric_m_complex_schemes"]))
 
-
-def rokhlin_mischachev(lambda_plus: int, lambda_minus: int,
-                       pi_plus: int, pi_minus: int,
-                       ovals: int, k: int) -> bool:
-    """Complex-orientation identity for dividing curves of degree 2k+1:
-    L+ - L- + 2(P+ - P-) = l - k(k+1), with L counting ovals by sign and
-    P the injective pairs (one oval inside the other) by sign."""
-    return lambda_plus - lambda_minus + 2 * (pi_plus - pi_minus) == ovals - k * (k + 1)

@@ -119,6 +119,14 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_missing_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (("braid", missing, "--file"), ("repro", "--registry", missing)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "missing.txt" in err
+
+
 def test_word_beyond_the_cap_exit_code(capsys):
     for argv in (("invariants", "strands=2; s1^1000000000"),
                  ("braid", "n=0 m=3; o1^1000000000"),
@@ -168,11 +176,19 @@ def test_wide_polynomial_in_a_registry_fails_the_fixture(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_numpy():
-    code = "import sys, ruledcurves.cli; print('numpy' in sys.modules)"
+    # Every module the import adds is standard library or the package's
+    # own, and fractions is not among them. The baseline is a bare
+    # interpreter, since site may load third-party modules of its own.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False"
+
+    def modules(imports):
+        code = f"import sys{imports}; print(' '.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, check=True).stdout.split())
+
+    added = modules(", ruledcurves.cli") - modules("")
+    assert "ruledcurves.cli" in added and "fractions" not in added
+    assert {name.partition(".")[0] for name in added} <= {*sys.stdlib_module_names, "ruledcurves"}
 
 
 def test_module_entry_point_matches_in_process_repro(capsys):

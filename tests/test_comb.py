@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_parse_comb_groups_and_cap():
                  f"(g1 g2)^{MAX_WORD_LENGTH // 2} g3"):
         with pytest.raises(CombError, match="longer than"):
             parse_comb(text)
+    # A bad token is refused before its group is copied: 4 KB of text
+    # must not become 400 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CombError, match="bad comb token"):
+            parse_comb(f"(g{'1' * 4000})^{MAX_WORD_LENGTH}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_closure_anchors():

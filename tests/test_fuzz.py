@@ -1,0 +1,162 @@
+"""Seeded fuzz of the text grammars, with no dependency beyond the
+standard library. Short random texts drawn from each grammar's alphabet,
+with deep nesting and huge numbers mixed in, must parse or raise the
+parser's declared error, each in bounded time. A one-line registry file
+must load or raise ValueError, and each of its fixtures must run to a
+pass or a fail without raising."""
+
+import random
+import time
+
+import pytest
+
+from ruledcurves import cli
+from ruledcurves.braid import BraidError, parse_braid
+from ruledcurves.comb import CombError, parse_comb, parse_weighted_comb
+from ruledcurves.laurent import LaurentError, parse_poly
+from ruledcurves.lscheme import LSchemeError, parse_scheme
+from ruledcurves.schemes7 import SchemeError, parse_complex_scheme, parse_real_scheme
+
+# Numbers a text may hold: small ones, the edges of the caps, and huge
+# ones, up to past the 4,300 digits that int() converts from a string.
+CAP_EDGES = ("8", "9", "64", "65", "99999", "100000", "100001")
+
+
+def small_or_huge(rng, top=12):
+    if rng.random() < 0.8:
+        return str(rng.randint(0, top))
+    return "9" * rng.choice((7, 20, 400, 4301, 6000))
+
+
+def any_number(rng):
+    return rng.choice(CAP_EDGES) if rng.random() < 0.2 else small_or_huge(rng)
+
+
+# grammar -> (fragments a text is drawn from, prefixes that pass the
+# header, (open, close) of one nesting level). "#" is replaced by a number.
+GRAMMARS = {
+    "braid": (("s", "s#", "s#^#", "s#^-#", "D", "D^#", "D^-#", "^", "-", " ", ";", "=",
+               "strands=", "#"),
+              ("strands=#; ", "strands=3; "), None),
+    "scheme": ((">", "<", "x", "o", "/", "\\", ">#", "<#", "x#", "o#", "^#", "^", " ", ";",
+                "#", "n=", "m=", "/^#"),
+               ("n=# m=#; ", "n=1 m=3; ", "n=0 m=4; "), None),
+    "comb": (("g", "g#", "(", ")", ")^#", "^", " ", "1", "#", "|"), ("", "g1 ", "(g3 "),
+             ("(", ")^2")),
+    "real": (("<", ">", "J", " + ", "+", "1<", "#", "#<", " ", "p", "m"), ("<J + ", "<J"),
+             ("1<", ">")),
+    "poly": (("t", "t^#", "t^-#", "^", "-", "+", "*", "(", ")", ")^#", "#", " ", "#*t"),
+             ("", "t - ", "(t+1)*"), ("(", ")")),
+}
+
+
+def fragment_text(rng, grammar, number):
+    fragments, prefixes, nest = GRAMMARS[grammar]
+    parts = [rng.choice(prefixes)] if rng.random() < 0.7 else []
+    parts += [rng.choice(fragments) for _ in range(rng.randint(0, 12))]
+    text = "".join(parts)
+    while "#" in text:
+        text = text.replace("#", number(rng), 1)
+    if nest and rng.random() < 0.15:
+        depth = rng.choice((3, 8, 9, 40, 2000))
+        head, tail = nest
+        text = text + head * depth + "1" + tail * depth
+    return text
+
+
+def weighted_comb_text(rng, number):
+    text = fragment_text(rng, "comb", number)
+    weights = " ".join(number(rng) for _ in range(rng.choice((2, 3, 3, 3, 4))))
+    return f"{text} | {weights}" if rng.random() < 0.9 else text
+
+
+def complex_text(rng, number):
+    return fragment_text(rng, "real", number) + rng.choice((":I", ":II", ":", "", ":III"))
+
+
+# parser -> (declared error, text generator)
+PARSERS = {
+    parse_braid: (BraidError, lambda rng, n: fragment_text(rng, "braid", n)),
+    parse_scheme: (LSchemeError, lambda rng, n: fragment_text(rng, "scheme", n)),
+    parse_comb: (CombError, lambda rng, n: fragment_text(rng, "comb", n)),
+    parse_weighted_comb: (CombError, weighted_comb_text),
+    parse_real_scheme: (SchemeError, lambda rng, n: fragment_text(rng, "real", n)),
+    parse_complex_scheme: (SchemeError, complex_text),
+    parse_poly: (LaurentError, lambda rng, n: fragment_text(rng, "poly", n)),
+}
+
+
+def outcome(call, error, text):
+    """The seconds one call took; any exception but error fails the test."""
+    start = time.perf_counter()
+    try:
+        call(text)
+    except error:
+        pass
+    except Exception as exc:
+        pytest.fail(f"{call.__name__}({text[:300]!r}) raised {type(exc).__name__}: {exc}")
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("parser", list(PARSERS), ids=lambda p: p.__name__)
+def test_parsers_parse_or_raise_their_error(parser):
+    error, generate = PARSERS[parser]
+    rng = random.Random(f"fuzz:{parser.__name__}")
+    slowest = max(outcome(parser, error, generate(rng, any_number)) for _ in range(1500))
+    assert slowest < 2.0
+
+
+# kind -> (valid inputs, input generator, assertion keys); unknown kinds
+# and keys are drawn too. The fixtures run their checks, so generated
+# numbers stay at most 4 or past every cap: a short text within the caps
+# can still ask for minutes of work, as "strands=64; D^-9", an
+# 18,144-letter braid on 64 strands, does.
+REGISTRY_KINDS = {
+    "braid": (("strands=3; s1 s2", "strands=4; s1^2 s3^-1 s2", "strands=2; s1^3",
+               "strands=3; s1^-4 s2^2 s1^-3 s2^-1 s1 D^2"),
+              PARSERS[parse_braid][1],
+              ("e", "alexander", "alexander_equals", "det", "fires", "not_fires", "trivial",
+               "garside_equals", "verdict")),
+    "lscheme": (("n=1 m=3; >2 <1 >2 o2 <2", "n=0 m=3; >1 <1", "n=2 m=3; >2 <2"),
+                PARSERS[parse_scheme][1], ("braid", "root_scheme", "comb")),
+    "comb": (("g5 g2 | 2 1 1", "g5 g6 g1 g4 g1 g6 g5 g2 g3 g2 | 0 0 0", "(g3 g2)^2 | 1 1 0"),
+             weighted_comb_text, ("closed", "mu_exists", "mu_count")),
+    "scheme-query": (("enumerate :: any", "complex-list", "<J + 4 + 1<8>> :: dividing"),
+                     lambda rng, n: fragment_text(rng, "real", n) + " :: any",
+                     ("count", "realizable")),
+    "knot": (("",), lambda rng, n: "", ("e",)),
+}
+VALUES = ("true", "false", "0", "1", "10", "alex", "alex,square", "t - 1", "(t^2-t+1)",
+          "strands=3; s1 s2", "")
+
+
+def registry_line(rng):
+    kind = rng.choice(list(REGISTRY_KINDS))
+    valid, generate, keys = REGISTRY_KINDS[kind]
+    clauses = " & ".join(f"{rng.choice(keys + ('colour',))}={rng.choice(VALUES)}"
+                         for _ in range(rng.randint(0, 3)))
+    text = (rng.choice(valid) if rng.random() < 0.5
+            else generate(rng, lambda rng: small_or_huge(rng, 4)))
+    fields = [rng.choice(("f", "x y")), kind, text.replace("|", "\\|"), clauses, "fuzz"]
+    if rng.random() < 0.1:
+        del fields[rng.randrange(5)]
+    return " | ".join(fields)
+
+
+def test_registry_lines_load_and_run_as_fixtures(tmp_path):
+    rng = random.Random("fuzz:registry")
+    path = tmp_path / "registry.txt"
+    slowest = 0.0
+    for _ in range(1000):
+        path.write_text(registry_line(rng) + "\n")
+        start = time.perf_counter()
+        try:
+            fixtures = cli.load_registry(str(path))
+        except ValueError:
+            continue
+        for fixture in fixtures:
+            result = cli.run_fixture(fixture)
+            assert result["status"] in ("pass", "fail"), result
+            assert result["status"] == "pass" or result["failures"], result
+        slowest = max(slowest, time.perf_counter() - start)
+    assert slowest < 2.0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ruledcurves import invariants
+from ruledcurves import cli, invariants
 from ruledcurves.braid import (
     compose,
     conjugate,
@@ -44,7 +44,6 @@ from ruledcurves.invariants import (
     quasipositivity_verdict,
     reduced_burau,
 )
-from ruledcurves.cli import load_registry
 from ruledcurves.laurent import LaurentPoly, divide_exact, format_poly, parse_poly
 
 from matrices import mat_mul
@@ -421,7 +420,8 @@ def assert_alexander_matches_evaluated_blocks(b):
                             for r, row in enumerate(rho)])
         rhs /= sum(t ** e for e in range(m))
         assert rhs != 0
-        units.add(unit_at(rhs / delta_b.eval_at(t), t))
+        delta_at_t = sum(Fraction(c) * Fraction(t) ** e for e, c in delta_b.coeffs.items())
+        units.add(unit_at(rhs / delta_at_t, t))
     assert len(units) == 1 and None not in units
 
 
@@ -651,7 +651,7 @@ def count_calls(monkeypatch, name):
 
 
 def test_alex_falls_back_to_delta_only_on_a_zero_residue(monkeypatch):
-    fixtures = [parse_braid(f["input"]) for f in load_registry()
+    fixtures = [parse_braid(f["input"]) for f in cli.load_registry()
                 if "not_fires=alex" in f["expectation"]]
     rng = random.Random(107)
     halves = [random_word(rng, m, max_len=20) for m in range(2, 9)]
@@ -880,6 +880,25 @@ def test_square_obstruction_on_an_84_digit_determinant():
     assert [o.test for o in fired] == ["double_alex", "square"]
     assert fired[0].witness == format_poly(alexander_polynomial(b))
     assert fired[1].exponent_sum == 2 and fired[1].witness == str(det)
+
+
+def test_division_by_the_strand_polynomial_on_the_digits(monkeypatch, capsys):
+    # _det stands in for the elimination here. On 3 strands, t^3 - 1 and
+    # 1 - t^3 are exact multiples of 1 + t + t^2 and give t - 1. 1 + t has
+    # degree below m - 1 = 2, and 1 + t + t^2 + t^3 leaves the remainder 1:
+    # both break the Burau convention and are ConventionErrors, exit 3.
+    b = parse_braid("strands=3; s1 s2")
+    for coeffs, expected in (([-1, 0, 0, 1], "t - 1"), ([1, 0, 0, -1], "t - 1"),
+                             ([1, 1], None), ([1, 1, 1, 1], None)):
+        monkeypatch.setattr(invariants, "_det", lambda a, k: (
+            0, sum(c << k * e for e, c in enumerate(coeffs))))
+        if expected:
+            assert format_poly(alexander_polynomial(b)) == expected
+            continue
+        with pytest.raises(ConventionError, match="does not divide"):
+            alexander_polynomial(b)
+        assert cli.main(["invariants", "strands=3; s1 s2"]) == 3
+        assert "convention violation" in capsys.readouterr().err
 
 
 def test_determinant_is_exact():

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -83,14 +82,6 @@ def test_normalize_unit_idempotent_and_unit_invariant():
         k = rng.randint(-3, 3)
         sign = rng.choice((1, -1))
         assert (p.shift(k) * sign).normalized_unit() == q
-
-
-def test_eval():
-    assert P("t - 1").eval_at(-1) == -2
-    assert P("1").eval_at(7) == 1
-    assert P("t^-1 + t").eval_at(2) == Fraction(5, 2)
-    with pytest.raises(LaurentError):
-        P("t").eval_at(0)
 
 
 def test_divide_exact():

@@ -16,11 +16,19 @@ from ruledcurves.schemes7 import (
     realizable,
     render_complex_scheme,
     render_real_scheme,
-    rokhlin_mischachev,
     symmetric_m_complex_schemes,
     _measure,
     _orientation_sums,
 )
+
+
+def rokhlin_mischachev(lambda_plus, lambda_minus, pi_plus, pi_minus, ovals, k):
+    """Complex-orientation identity for dividing curves of degree 2k+1:
+    L+ - L- + 2(P+ - P-) = l - k(k+1), with L counting ovals by sign and
+    P the injective pairs (one oval inside the other) by sign. The
+    oracle for the ten complex schemes; the dividing law reads
+    schemes7._orientation_sums instead."""
+    return lambda_plus - lambda_minus + 2 * (pi_plus - pi_minus) == ovals - k * (k + 1)
 
 
 # The deep nest printed in the source's dividing list. No degree-7 curve
