@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from .braid import MAX_WORD_LENGTH, parse_int
@@ -131,7 +132,9 @@ def chain_successors(w: WeightedComb) -> list[WeightedComb]:
 
 def _feasible(w: WeightedComb) -> bool:
     """Necessary conditions for any chain from w to reach a closed comb,
-    from six letter counts and, once gamma = 0, one parity sweep.
+    from six letter counts and, once gamma = 0, one parity sweep. A
+    pruned search checks them once, at its root, where they reject most
+    combs of a scheme census.
 
     The per-pair imbalances must be correctable by the remaining moves:
     with x gamma-moves on g2 and y on g5 (x + y = gamma, 3y <= alpha),
@@ -178,15 +181,16 @@ def _feasible(w: WeightedComb) -> bool:
     return abs(diff) <= a
 
 
-def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
-    """Number of chains from w down to a closed comb at zero weights,
-    capped at `enough`: the search stops once it has found that many.
-    Distinct rewrite positions count as distinct chains; successor words
-    of one state are pairwise distinct, so memoising on states is exact,
-    and so is memoising the capped counts, since
-    min(cap, sum of counts) = min(cap, sum of capped counts). A state
-    costs O(length): the slice that builds it, then one _feasible pass or,
-    at a leaf, one stack pass. Nothing outlives the search's own memo."""
+def _chains(w: WeightedComb, enough: float) -> int:
+    """The number of chains from w down to a closed comb at zero weights,
+    by the literal chain walk, capped at `enough`: the search stops once
+    it has found that many. The unpruned search runs it, and the tests
+    compare the phase count against it. Distinct rewrite positions count
+    as distinct chains; successor words of one state are pairwise
+    distinct, so memoising on states is exact, and so is memoising the
+    capped counts, since min(cap, sum of counts) = min(cap, sum of capped
+    counts). A state costs O(length): the slice that builds it or, at a
+    leaf, one stack pass. Nothing outlives the search's own memo."""
     memo: dict[WeightedComb, int] = {}
     # The depth-first search keeps its own stack, so a chain may be longer
     # than Python's recursion limit. One frame per state being counted:
@@ -198,8 +202,6 @@ def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
             value = memo[state]
         elif not (state.alpha or state.beta or state.gamma):
             value = memo[state] = 1 if _closes(state.word) else 0
-        elif prune and not _feasible(state):
-            value = memo[state] = 0
         else:
             frames.append([state, iter(chain_successors(state)), 0])
             value = None
@@ -216,13 +218,115 @@ def _chains(w: WeightedComb, prune: bool, enough: float) -> int:
             return value
 
 
+def _rewrite(word: Comb | list[int], at: dict[int, Comb]) -> list[int]:
+    """word with the letter at each position i in `at` replaced by at[i]."""
+    out: list[int] = []
+    last = 0
+    for i in sorted(at):
+        out += word[last:i]
+        out += at[i]
+        last = i + 1
+    out += word[last:]
+    return out
+
+
+def _phase_chains(w: WeightedComb, enough: float) -> int:
+    """The chain count of _chains, by phase instead of by walk, for a comb
+    that passed _feasible.
+
+    No move creates a target of its own phase: the gamma replacements
+    hold no g2 or g5, alpha makes no g1, and beta's g4 g5 g4 keeps its
+    one g5. So a chain is fixed by a gamma set (gamma - y g2's and y
+    g5's, 3y <= alpha, leaving a g5 when beta > 0), an alpha set of
+    a' = alpha - 3y g1's after gamma, and a beta multiset (j_i expansions
+    g5 -> g4^j g5 g4^j of the g5's left), in any order within each phase.
+    Such a choice has gamma! a'! beta! / prod(j_i!) orderings, each a
+    distinct chain, and all end in the same leaf.
+
+    Two parity laws cut the choices. The letters strictly inside a chord
+    of a closure are matched among themselves, so an even number of them
+    have types 1..4: a g1-g2 chord joins the two parity classes and a
+    g5-g6 chord stays in one. A closed leaf therefore has as many g1/g2
+    in class 0 as in class 1, and in each class as many g5 as g6.
+    - Alpha moves take a g1 out of its class and keep every parity;
+      beta moves keep the g1/g2 classes. With the classes differing by
+      diff after gamma, the alpha set takes exactly k0 = (a' + diff)/2
+      g1's from class 0, and no other split is tried.
+    - g4^j g5 g4^j moves its g5 to the other class when j is odd and
+      keeps the parity of every other letter, so only beta multisets
+      whose odd j_i balance the g5/g6 classes are tried.
+    The cost is one stack pass per choice that passes both laws; the
+    count is capped at `enough` as in _chains."""
+    word, a, b, g = w
+    total = 0
+    g2s = [i for i, x in enumerate(word) if x == 2]
+    g5s = [i for i, x in enumerate(word) if x == 5]
+    for y in range(min(g, a // 3, len(g5s) - (b > 0)) + 1):
+        rest = a - 3 * y
+        orderings = math.factorial(g) * math.factorial(rest) * math.factorial(b)
+        for on_g5 in combinations(g5s, y):
+            for on_g2 in combinations(g2s, g - y):
+                mid = _rewrite(word, {**dict.fromkeys(on_g2, _GAMMA_G2),
+                                      **dict.fromkeys(on_g5, _GAMMA_G5)})
+                # g1 positions and signed g1/g2 and g5/g6 sums by parity
+                # class (+1 for class 0, -1 for class 1; g6 counts negative)
+                ones: tuple[list[int], list[int]] = ([], [])
+                fives: dict[int, int] = {}
+                diff12 = diff56 = parity = 0
+                for i, letter in enumerate(mid):
+                    sign = 1 - 2 * parity
+                    if letter <= 2:
+                        diff12 += sign
+                        if letter == 1:
+                            ones[parity].append(i)
+                    elif letter == 5:
+                        fives[i] = sign
+                        diff56 += sign
+                    elif letter == 6:
+                        diff56 -= sign
+                    if letter <= 4:
+                        parity ^= 1
+                k0, odd = divmod(rest + diff12, 2)
+                if odd or not 0 <= k0 <= rest:
+                    continue
+                betas = []
+                for expanded in combinations_with_replacement(fives, b):
+                    js = dict.fromkeys(expanded, 0)
+                    for i in expanded:
+                        js[i] += 1
+                    if 2 * sum(fives[i] for i, j in js.items() if j % 2) == diff56:
+                        betas.append(({i: (4,) * j + (5,) + (4,) * j for i, j in js.items()},
+                                      orderings // math.prod(map(math.factorial, js.values()))))
+                for alpha0, alpha1 in product(combinations(ones[0], k0),
+                                              combinations(ones[1], rest - k0)):
+                    after_alpha = list(mid)
+                    for i in alpha0 + alpha1:
+                        after_alpha[i] = 3
+                    for at, count in betas:
+                        if _closes(_rewrite(after_alpha, at)):
+                            total += count
+                            if total >= enough:
+                                return enough
+    return total
+
+
 def mu_count(w: WeightedComb, prune: bool = True) -> int:
-    """Number of chains from w down to a closed comb at zero weights."""
-    return _chains(w, prune, math.inf)
+    """Number of chains from w down to a closed comb at zero weights.
+    Pruned, the balance laws of _feasible decide at the root, then
+    _phase_chains sums gamma! a'! beta! / prod(j_i!) over the phase
+    choices whose leaf closes, trying only the choices that pass its two
+    parity laws, with one stack pass each. prune=False runs _chains, the
+    literal chain walk that the tests compare the phase count against."""
+    if not prune:
+        return _chains(w, math.inf)
+    return _phase_chains(w, math.inf) if _feasible(w) else 0
 
 
 def mu_exists(w: WeightedComb, prune: bool = True) -> bool:
-    return _chains(w, prune, 1) > 0
+    """mu_count(w, prune) > 0, stopping at the first closing leaf."""
+    if not prune:
+        return _chains(w, 1) > 0
+    return _feasible(w) and _phase_chains(w, 1) > 0
 
 
 def algebraic_realizability_verdict(ls) -> bool:

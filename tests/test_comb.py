@@ -21,7 +21,8 @@ from ruledcurves.comb import (
     render_comb,
     render_weighted_comb,
 )
-from ruledcurves.lscheme import parse_scheme
+from ruledcurves.lscheme import LScheme, LSchemeError, parse_scheme, weighted_comb
+from test_lscheme import _closed_trigonal_events
 
 CLOSED_EXAMPLE = (5, 6, 1, 4, 1, 6, 5, 2, 3, 2)
 W1 = parse_weighted_comb(
@@ -306,10 +307,14 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
     n = [parity_only.word.count(x) for x in range(7)]
     # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
     assert (n[1] - n[2], n[3] - n[4] + 1, n[5] - n[6]) == (1, 0, 0)
-    expanded = []
+    feasible, closes = comb._feasible, comb._closes
+    roots, leaves, expanded = [], [], []
+    monkeypatch.setattr(comb, "_feasible", lambda w: roots.append(feasible(w)) or roots[-1])
+    monkeypatch.setattr(comb, "_closes", lambda word: leaves.append(word) or closes(word))
     monkeypatch.setattr(comb, "chain_successors",
                         lambda w: expanded.append(w) or chain_successors(w))
-    assert mu_count(parity_only) == 0 and expanded == []  # rejected at the root
+    assert mu_count(parity_only) == 0
+    assert roots == [False] and leaves == []  # rejected at the root
     assert mu_count(parity_only, prune=False) == 0 and expanded == [parity_only]
     monkeypatch.undo()
     rng = random.Random(127)
@@ -329,6 +334,79 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
     assert counts[-1] == 0
     assert sum(c > 0 for c in counts) >= 40 and sum(c == 0 for c in counts) >= 20
     assert max(counts) > 1
+
+
+def _phase_unwound(rng):
+    """A closed comb unwound by two gamma moves, at least two alpha moves
+    after them and beta >= 2 moves on two g5's, so its mu is at least 1.
+    The closed comb nests blocks P + mirror(P) at random, never inside a
+    motif P: g4^j g5 g4^j (j = 1 or 2), g4 g5 g4, a g6 g3 g6 g3 g6, one
+    more gamma motif and at most one partner pair. Unwinding may spoil a
+    later motif, so a comb that misses a gamma move is drawn again."""
+    while True:
+        beta = [(4,) * j + (5,) + (4,) * j for j in (rng.randint(1, 2), 1)]
+        gamma = [(6, 3, 6, 3, 6), rng.choice([(6, 3, 6, 3, 6), (3, 6, 3, 6, 3)])]
+        tokens = []
+        for p in beta + gamma + [(x,) for x in rng.choices(range(1, 7), k=rng.randint(0, 1))]:
+            i = rng.randint(0, len(tokens))
+            tokens[i:i] = [p] + [(_PARTNER[x],) for x in reversed(p)]
+        word = sum(tokens, ())
+        b = 0
+        for p in sorted(beta, key=len, reverse=True):
+            word, b = _replace(word, p, (5,), rng), b + len(p) // 2
+        a = 0
+        for _ in range(gamma.count((6, 3, 6, 3, 6))):
+            word, a = _replace(word, (6, 3, 6, 3, 6), (6, 1, 6, 1, 6), rng), a + 2
+        threes = [i for i, x in enumerate(word) if x == 3]
+        for i in rng.sample(threes, rng.randint(0, 1)):
+            word, a = word[:i] + (1,) + word[i + 1:], a + 1
+        g = 0
+        for _ in range(2):
+            for pattern, letter, da in ((6, 1, 6, 1, 6), 2, 0), ((3, 6, 3, 6, 3), 5, 3):
+                if (new := _replace(word, pattern, (letter,), rng)) is not None:
+                    word, a, g = new, a + da, g + 1
+                    break
+        if g == 2:
+            return WeightedComb(word, a, b, g)
+
+
+def test_mu_phase_multiplicities_equal_unpruned():
+    """The phase count's orderings gamma! a'! beta! / prod(j_i!) and its
+    two parity laws, against the literal walk, on combs where every
+    factor is above 1: gamma = 2, at least two alpha moves left after
+    gamma and beta >= 2 spread over two g5's. Mirrored words swap the
+    parity classes of the letters."""
+    rng = random.Random(139)
+    counts = []
+    for _ in range(20):
+        w = _phase_unwound(rng)
+        assert w.gamma == 2 and w.beta >= 2 and w.alpha >= 2
+        for v in (w, w._replace(word=w.word[::-1])):
+            count = mu_count(v, prune=False)
+            counts.append(count)
+            assert count >= 1 and mu_count(v) == count, v
+            assert mu_exists(v) and mu_exists(v, prune=False), v
+    assert max(counts) > 1000
+
+
+def test_mu_pruned_equals_unpruned_on_scheme_census():
+    """Every closed m = 3 scheme with at most 6 events on the first and
+    second surfaces, as a weighted comb unless its weights go negative:
+    the pruned search agrees with the literal walk on each."""
+    combs = []
+    for n in (1, 2):
+        for events in _closed_trigonal_events(6):
+            try:
+                combs.append(weighted_comb(LScheme(n, 3, events)))
+            except LSchemeError:
+                pass
+    counts = {}
+    for w in sorted(set(combs)):
+        counts[w] = mu_count(w, prune=False)
+        assert mu_count(w) == counts[w], w
+        for p in (True, False):
+            assert mu_exists(w, prune=p) == (counts[w] > 0), (w, p)
+    assert len(combs) == 2760 and sum(counts[w] > 0 for w in combs) == 76
 
 
 def test_chain_search_leaves_no_process_state():
