@@ -130,57 +130,6 @@ def chain_successors(w: WeightedComb) -> list[WeightedComb]:
     return out
 
 
-def _feasible(w: WeightedComb) -> bool:
-    """Necessary conditions for any chain from w to reach a closed comb,
-    from six letter counts and, once gamma = 0, one parity sweep. A
-    pruned search checks them once, at its root, where they reject most
-    combs of a scheme census.
-
-    The per-pair imbalances must be correctable by the remaining moves:
-    with x gamma-moves on g2 and y on g5 (x + y = gamma, 3y <= alpha),
-    then alpha - 3y single g1 -> g3 moves and beta g5 moves,
-        d12 + 3x - (alpha - 3y) = 0,
-        d34 + (alpha - 3y) + 3y - 2*beta = 0,
-        d56 - 3x - 3y = 0,
-    and the moves need the letters they rewrite to exist."""
-    word, a, b, g = w
-    n1, n2, n5 = word.count(1), word.count(2), word.count(5)
-    if n5 - word.count(6) != 3 * g:
-        # both gamma moves change n5 - n6 by exactly -3 (the g2 move adds
-        # three g6's; the g5 move trades one g5 for two g6's)
-        return False
-    if word.count(3) - word.count(4) + a - 2 * b != 0:
-        # both alpha-phase moves add one g3 per remaining alpha unit
-        # (g1 -> g3 directly, the g5 gamma-move in triples), and each
-        # beta move adds two g4's. The identity is phase independent.
-        return False
-    if n1 - n2 + 3 * g != a:
-        # with x = g - y the first identity reads d12 + 3g - a = 0 for
-        # every split of the gamma moves
-        return False
-    # The rest bound y, the number of gamma-moves on g5:
-    #   3y <= alpha;
-    #   x <= n2 and y <= n5: nothing ever creates a g2 or a g5;
-    #   y <= n5 - 1 when beta > 0: beta moves rewrite a g5 in place, and
-    #     one must survive gamma;
-    #   alpha - 3y <= n1 + 2x: g1 -> g3 needs a g1, and gamma g2-moves add
-    #     two g1's each.
-    if max(0, g - n2, a - n1 - 2 * g) > min(g, a // 3, n5 - (b > 0)):
-        return False
-    if g:
-        return True
-    # Once gamma = 0 the type-1/2 letters in the two parity classes
-    # (parity of the number of type-1..4 letters strictly before) differ
-    # by diff, and each remaining alpha move shrinks one class by one.
-    diff = parity = 0
-    for letter in word:
-        if letter <= 2:
-            diff += 1 - 2 * parity
-        if letter <= 4:
-            parity ^= 1
-    return abs(diff) <= a
-
-
 def _chains(w: WeightedComb, enough: float) -> int:
     """The number of chains from w down to a closed comb at zero weights,
     by the literal chain walk, capped at `enough`: the search stops once
@@ -231,8 +180,16 @@ def _rewrite(word: Comb | list[int], at: dict[int, Comb]) -> list[int]:
 
 
 def _phase_chains(w: WeightedComb, enough: float) -> int:
-    """The chain count of _chains, by phase instead of by walk, for a comb
-    that passed _feasible.
+    """The chain count of _chains, by phase instead of by walk, from the
+    root laws down to the leaves.
+
+    Three balance laws open it, from six letter counts, and reject most
+    combs of a scheme census before any choice. With x gamma-moves on g2
+    and y on g5 (x + y = gamma, 3y <= alpha), then alpha - 3y single
+    g1 -> g3 moves and beta g5 moves, a closed leaf needs
+        d12 + 3x - (alpha - 3y) = 0,
+        d34 + (alpha - 3y) + 3y - 2*beta = 0,
+        d56 - 3x - 3y = 0.
 
     No move creates a target of its own phase: the gamma replacements
     hold no g2 or g5, alpha makes no g1, and beta's g4 g5 g4 keeps its
@@ -255,13 +212,35 @@ def _phase_chains(w: WeightedComb, enough: float) -> int:
     - g4^j g5 g4^j moves its g5 to the other class when j is odd and
       keeps the parity of every other letter, so only beta multisets
       whose odd j_i balance the g5/g6 classes are tried.
+    At gamma = 0 the g1/g2 law reads the word itself, so a comb whose
+    classes differ by more than alpha is rejected before any leaf.
     The cost is one stack pass per choice that passes both laws; the
     count is capped at `enough` as in _chains."""
     word, a, b, g = w
+    if word.count(5) - word.count(6) != 3 * g:
+        # both gamma moves change n5 - n6 by exactly -3 (the g2 move adds
+        # three g6's; the g5 move trades one g5 for two g6's)
+        return 0
+    if word.count(3) - word.count(4) + a - 2 * b != 0:
+        # both alpha-phase moves add one g3 per remaining alpha unit
+        # (g1 -> g3 directly, the g5 gamma-move in triples), and each
+        # beta move adds two g4's. The identity is phase independent.
+        return 0
+    if word.count(1) - word.count(2) + 3 * g != a:
+        # with x = g - y the first identity reads d12 + 3g - a = 0 for
+        # every split of the gamma moves
+        return 0
     total = 0
     g2s = [i for i, x in enumerate(word) if x == 2]
     g5s = [i for i, x in enumerate(word) if x == 5]
-    for y in range(min(g, a // 3, len(g5s) - (b > 0)) + 1):
+    # The bounds on y:
+    #   3y <= alpha;
+    #   x <= n2 and y <= n5: nothing ever creates a g2 or a g5;
+    #   y <= n5 - 1 when beta > 0: beta moves rewrite a g5 in place, and
+    #     one must survive gamma;
+    #   alpha - 3y <= n1 + 2x: g1 -> g3 needs a g1, and gamma g2-moves add
+    #     two g1's each. By the third law this is x <= n2 again.
+    for y in range(max(0, g - len(g2s)), min(g, a // 3, len(g5s) - (b > 0)) + 1):
         rest = a - 3 * y
         orderings = math.factorial(g) * math.factorial(rest) * math.factorial(b)
         for on_g5 in combinations(g5s, y):
@@ -312,21 +291,18 @@ def _phase_chains(w: WeightedComb, enough: float) -> int:
 
 def mu_count(w: WeightedComb, prune: bool = True) -> int:
     """Number of chains from w down to a closed comb at zero weights.
-    Pruned, the balance laws of _feasible decide at the root, then
-    _phase_chains sums gamma! a'! beta! / prod(j_i!) over the phase
+    Pruned, _phase_chains decides it alone: three balance laws at the
+    root, then gamma! a'! beta! / prod(j_i!) summed over the phase
     choices whose leaf closes, trying only the choices that pass its two
     parity laws, with one stack pass each. prune=False runs _chains, the
     literal chain walk that the tests compare the phase count against."""
-    if not prune:
-        return _chains(w, math.inf)
-    return _phase_chains(w, math.inf) if _feasible(w) else 0
+    return (_phase_chains if prune else _chains)(w, math.inf)
 
 
 def mu_exists(w: WeightedComb, prune: bool = True) -> bool:
-    """mu_count(w, prune) > 0, stopping at the first closing leaf."""
-    if not prune:
-        return _chains(w, 1) > 0
-    return _feasible(w) and _phase_chains(w, 1) > 0
+    """mu_count(w, prune) > 0, by the same search stopping at the first
+    closing leaf."""
+    return (_phase_chains if prune else _chains)(w, 1) > 0
 
 
 def algebraic_realizability_verdict(ls) -> bool:

@@ -58,8 +58,8 @@ class LScheme:
             raise LSchemeError("surface index must be nonnegative")
         if self.strands < 2:
             raise LSchemeError("at least 2 strands are required")
-        ends_full = _validate(self.surface_index, self.strands, self.events)
-        object.__setattr__(self, "_closed", ends_full and _starts_full(self.events))
+        closed = _validate(self.surface_index, self.strands, self.events)
+        object.__setattr__(self, "_closed", closed)
 
     def is_closed_scheme(self) -> bool:
         """Starts and ends at the full intersection count (meets the
@@ -82,9 +82,9 @@ def _starts_full(events: tuple[Event, ...]) -> bool:
 def _validate(n: int, m: int, events: tuple[Event, ...]) -> bool:
     """Check index bounds against the running real-intersection count,
     which alternates between m and m-2. Returns whether the sequence
-    ends at the full count; closed schemes start and end there, and
-    the rewriting moves also accept open fragments."""
-    full = _starts_full(events)
+    starts and ends at the full count, i.e. whether it is closed; the
+    rewriting moves also accept open fragments."""
+    starts_full = full = _starts_full(events)
     for pos, ev in enumerate(events):
         where = f"event {pos} ({ev.token()})"
         if ev.kind == ">":
@@ -113,7 +113,7 @@ def _validate(n: int, m: int, events: tuple[Event, ...]) -> bool:
                 raise LSchemeError(f"{where}: divisor event in a reduced region needs m >= 3")
         else:
             raise LSchemeError(f"{where}: unknown event kind {ev.kind!r}")
-    return full
+    return starts_full and full
 
 
 # -- text form ---------------------------------------------------------

@@ -307,14 +307,13 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
     n = [parity_only.word.count(x) for x in range(7)]
     # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
     assert (n[1] - n[2], n[3] - n[4] + 1, n[5] - n[6]) == (1, 0, 0)
-    feasible, closes = comb._feasible, comb._closes
-    roots, leaves, expanded = [], [], []
-    monkeypatch.setattr(comb, "_feasible", lambda w: roots.append(feasible(w)) or roots[-1])
+    closes = comb._closes
+    leaves, expanded = [], []
     monkeypatch.setattr(comb, "_closes", lambda word: leaves.append(word) or closes(word))
     monkeypatch.setattr(comb, "chain_successors",
                         lambda w: expanded.append(w) or chain_successors(w))
     assert mu_count(parity_only) == 0
-    assert roots == [False] and leaves == []  # rejected at the root
+    assert leaves == []  # rejected before any leaf
     assert mu_count(parity_only, prune=False) == 0 and expanded == [parity_only]
     monkeypatch.undo()
     rng = random.Random(127)
@@ -334,6 +333,42 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
     assert counts[-1] == 0
     assert sum(c > 0 for c in counts) >= 40 and sum(c == 0 for c in counts) >= 20
     assert max(counts) > 1
+
+
+def _root_laws(w):
+    """Whether w passes each root law of the pruned count: n5 - n6 =
+    3 gamma, the g3/g4 identity, d12 + 3 gamma = alpha and, at gamma = 0,
+    the parity sweep (the g1/g2 classes differ by at most alpha)."""
+    word, a, b, g = w
+    n = [word.count(x) for x in range(7)]
+    diff = parity = 0
+    for letter in word:
+        if letter <= 2:
+            diff += 1 - 2 * parity
+        if letter <= 4:
+            parity ^= 1
+    return [n[5] - n[6] == 3 * g, n[3] - n[4] + a - 2 * b == 0,
+            n[1] - n[2] + 3 * g == a, g > 0 or abs(diff) <= a]
+
+
+@pytest.mark.parametrize("law, text", enumerate([
+    "g1 g1 g5 g5 | 2 1 0",
+    "g1 | 1 0 0",
+    "g1 g1 | 0 0 0",
+    "g1 g3 g2 g4 | 0 0 0",
+]), ids=["d56", "d34", "d12", "parity"])
+def test_each_root_law_rejects_before_any_leaf(monkeypatch, law, text):
+    """Each comb fails exactly one root law, and the pruned count rejects
+    it without a stack pass; a dropped law would let it try a leaf. The
+    y-range has no such comb: a skipped lower bound reaches no rewrite."""
+    w = parse_weighted_comb(text)
+    assert _root_laws(w) == [i != law for i in range(4)]
+    closes = comb._closes
+    leaves = []
+    monkeypatch.setattr(comb, "_closes", lambda word: leaves.append(word) or closes(word))
+    assert mu_count(w) == 0 and not mu_exists(w)
+    assert leaves == []
+    assert mu_count(w, prune=False) == 0 and not mu_exists(w, prune=False)
 
 
 def _phase_unwound(rng):
