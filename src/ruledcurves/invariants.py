@@ -345,10 +345,7 @@ def alexander_polynomial(b: BraidWord) -> LaurentPoly:
 def _determinant(p: LaurentPoly) -> int:
     """|p(-1)|, the alternating sum of p's coefficients by exponent parity:
     the determinant of the closure when p is its Alexander polynomial."""
-    value = sum(-c if e & 1 else c for e, c in p.coeffs.items())
-    if value.denominator != 1:
-        raise ConventionError(f"Delta(-1) = {value} is not an integer")
-    return abs(int(value))
+    return abs(sum(-c if e & 1 else c for e, c in p.coeffs.items()))
 
 
 def determinant_of_closure(b: BraidWord) -> int:

@@ -12,11 +12,16 @@ An event is one of
     /    branch through the exceptional divisor coming from {y > 0},
     \\    the same from {y < 0},
 where k-1 is the number of real intersection points strictly below the
-event. Text form: header ``n=<surface> m=<strands>;`` then tokens,
-each optionally suffixed ``^<count>``; ``#`` starts a comment. A text
-expands to at most MAX_WORD_LENGTH events, names at most MAX_STRANDS
-strands, and its Delta^n padding in to_braid is at most MAX_WORD_LENGTH
-letters.
+event; a divisor event has index 0. The running count is full (m) or
+reduced (m-2). One table, _KINDS, gives each kind the count it needs,
+the count it leaves, its tangency-only encoding and its braid letters;
+validation, to_braid and the trigonal encodings all read it, and any
+other kind is refused at its position.
+
+Text form: header ``n=<surface> m=<strands>;`` then tokens, each
+optionally suffixed ``^<count>``; ``#`` starts a comment. A text expands
+to at most MAX_WORD_LENGTH events, names at most MAX_STRANDS strands,
+and its Delta^n padding in to_braid is at most MAX_WORD_LENGTH letters.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .braid import (
     MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce, parse_int,
@@ -41,7 +46,7 @@ class Event(NamedTuple):
     index: int  # 0 for the divisor events
 
     def token(self) -> str:
-        if self.kind in "/\\":
+        if self.kind in ("/", "\\"):
             return self.kind
         return f"{self.kind}{self.index}"
 
@@ -67,53 +72,86 @@ class LScheme:
         return self._closed
 
 
-def _starts_full(events: tuple[Event, ...]) -> bool:
-    """A scheme fragment starts in the reduced-count region exactly when
-    its first tangency-class event re-enters the full count. Fragments
-    with no such event are taken to start at the full count."""
-    for ev in events:
-        if ev.kind == ">":
-            return True
-        if ev.kind in "<o":
-            return False
-    return True
+def _tau(s: int, t: int) -> list[int]:
+    """Strand transport word: (s_{s+1}^-1 s_s)(s_{s+2}^-1 s_{s+1}) ... up or
+    down to t; empty when s = t."""
+    out: list[int] = []
+    if t > s:
+        for i in range(s + 1, t + 1):
+            out.extend([-i, i - 1])
+    elif t < s:
+        for i in range(s - 1, t - 1, -1):
+            out.extend([-i, i + 1])
+    return out
+
+
+_FULL, _REDUCED = "full", "reduced"  # m or m - 2 real intersection points
+
+
+class _Kind(NamedTuple):
+    name: str  # for error messages
+    needs: str | None  # the count the event needs: _FULL, _REDUCED or None for either
+    leaves: str | None  # the count it leaves: _FULL, _REDUCED or None for unchanged
+    tangencies: str  # kinds of its tangency-only encoding; "" for the divisor events
+    letters: Callable[[int, int, bool], list[int]]  # (k, m, reduced) -> braid letters
+
+
+# The one table of event kinds: validation, the braid compiler and the
+# tangency encoding read it. An o is <k >k, in the table and in the braid.
+_KINDS = {
+    ">": _Kind("tangency down", _FULL, _REDUCED, ">",
+               lambda k, m, reduced: [-k, *_tau(k, m - 1)]),
+    "<": _Kind("tangency up", _REDUCED, _FULL, "<", lambda k, m, reduced: _tau(m - 1, k)),
+    "x": _Kind("crossing", None, None, "><", lambda k, m, reduced: [-k]),
+    "o": _Kind("solitary double point", _REDUCED, _REDUCED, "<>",
+               lambda k, m, reduced: [*_tau(m - 1, k), -k, *_tau(k, m - 1)]),
+    "/": _Kind("divisor event", None, None, "",
+               lambda k, m, reduced: [-(m - 2), m - 1, m - 1, *range(m - 2, 0, -1)] if reduced
+               else [*range(m - 1, 0, -1)]),
+    "\\": _Kind("divisor event", None, None, "",
+                lambda k, m, reduced: [*range(1, m - 2), m - 2, m - 2] if reduced
+                else [*range(1, m)]),
+}
+
+
+def _refusal(ev: Event, row: _Kind, count: str, m: int) -> str | None:
+    """Why ev cannot stand at the running count, or None. The index of a
+    crossing is bounded by the running count, that of a tangency-class
+    event by the full count m."""
+    if row.needs and row.needs != count:
+        return f"{row.name} needs the {row.needs} count"
+    if not row.tangencies:
+        if count == _REDUCED and m < 3:
+            return f"{row.name} in a reduced region needs m >= 3"
+        if ev.index != 0:
+            return f"{row.name} index must be 0"
+    elif row.needs:
+        if not 1 <= ev.index <= m - 1:
+            return "index out of range"
+    else:
+        points = m if count == _FULL else m - 2
+        if not 1 <= ev.index <= points - 1:
+            return f"{row.name} index out of range for count {points}"
+    return None
 
 
 def _validate(n: int, m: int, events: tuple[Event, ...]) -> bool:
-    """Check index bounds against the running real-intersection count,
-    which alternates between m and m-2. Returns whether the sequence
-    starts and ends at the full count, i.e. whether it is closed; the
-    rewriting moves also accept open fragments."""
-    starts_full = full = _starts_full(events)
-    for pos, ev in enumerate(events):
-        where = f"event {pos} ({ev.token()})"
-        if ev.kind == ">":
-            if not full:
-                raise LSchemeError(f"{where}: tangency down needs the full count")
-            if not 1 <= ev.index <= m - 1:
-                raise LSchemeError(f"{where}: index out of range")
-            full = False
-        elif ev.kind == "<":
-            if full:
-                raise LSchemeError(f"{where}: tangency up needs the reduced count")
-            if not 1 <= ev.index <= m - 1:
-                raise LSchemeError(f"{where}: index out of range")
-            full = True
-        elif ev.kind == "x":
-            count = m if full else m - 2
-            if not 1 <= ev.index <= count - 1:
-                raise LSchemeError(f"{where}: crossing index out of range for count {count}")
-        elif ev.kind == "o":
-            if full:
-                raise LSchemeError(f"{where}: solitary double point needs the reduced count")
-            if not 1 <= ev.index <= m - 1:
-                raise LSchemeError(f"{where}: index out of range")
-        elif ev.kind in "/\\":
-            if not full and m < 3:
-                raise LSchemeError(f"{where}: divisor event in a reduced region needs m >= 3")
-        else:
-            raise LSchemeError(f"{where}: unknown event kind {ev.kind!r}")
-    return starts_full and full
+    """Check every event against the running count, which starts at the
+    count that the first event needing one needs (full when none does).
+    Returns whether the sequence starts and ends at the full count, i.e.
+    whether it is closed; the rewriting moves also accept open
+    fragments."""
+    rows = [_KINDS.get(ev.kind) for ev in events]
+    if None in rows:
+        ev = events[pos := rows.index(None)]
+        raise LSchemeError(f"event {pos} ({ev.token()}): unknown event kind {ev.kind!r}")
+    count = start = next((row.needs for row in rows if row.needs), _FULL)
+    for pos, (ev, row) in enumerate(zip(events, rows)):
+        refusal = _refusal(ev, row, count, m)
+        if refusal:
+            raise LSchemeError(f"event {pos} ({ev.token()}): {refusal}")
+        count = row.leaves or count
+    return start == count == _FULL
 
 
 # -- text form ---------------------------------------------------------
@@ -162,63 +200,20 @@ def render_scheme(ls: LScheme) -> str:
 # -- compiler to braids -------------------------------------------------
 
 
-def _tau(s: int, t: int) -> list[int]:
-    """Strand transport word: (s_{s+1}^-1 s_s)(s_{s+2}^-1 s_{s+1}) ... up or
-    down to t; empty when s = t."""
-    out: list[int] = []
-    if t > s:
-        for i in range(s + 1, t + 1):
-            out.extend([-i, i - 1])
-    elif t < s:
-        for i in range(s - 1, t - 1, -1):
-            out.extend([-i, i + 1])
-    return out
-
-
-def _expand_ovals(events: Iterable[Event]) -> list[Event]:
-    out: list[Event] = []
-    for ev in events:
-        if ev.kind == "o":
-            out.append(Event("<", ev.index))
-            out.append(Event(">", ev.index))
-        else:
-            out.append(ev)
-    return out
-
-
 def to_braid(ls: LScheme) -> BraidWord:
-    """Compile to the associated braid: substitute every event per the
-    full-count/reduced-count rule table, freely reduce, and append the
+    """Compile to the associated braid: substitute every event by its
+    braid letters at the running count, freely reduce, and append the
     n-th power of the half twist."""
     if not ls.is_closed_scheme():
         raise LSchemeError("braid compilation needs a closed scheme "
                            "(full intersection count at both ends)")
     m, n = ls.strands, ls.surface_index
     letters: list[int] = []
-    low = False
-    for ev in _expand_ovals(ls.events):
-        if ev.kind == ">":
-            letters.append(-ev.index)
-            letters.extend(_tau(ev.index, m - 1))
-            low = True
-        elif ev.kind == "<":
-            letters.extend(_tau(m - 1, ev.index))
-            low = False
-        elif ev.kind == "x":
-            letters.append(-ev.index)
-        elif ev.kind == "\\":
-            if low:
-                letters.extend(range(1, m - 2))
-                letters.extend([m - 2, m - 2])
-            else:
-                letters.extend(range(1, m))
-        elif ev.kind == "/":
-            if low:
-                letters.append(-(m - 2))
-                letters.extend([m - 1, m - 1])
-                letters.extend(range(m - 2, 0, -1))
-            else:
-                letters.extend(range(m - 1, 0, -1))
+    count = _FULL
+    for ev in ls.events:
+        row = _KINDS[ev.kind]
+        letters += row.letters(ev.index, m, count == _REDUCED)
+        count = row.leaves or count
     reduced = free_reduce(BraidWord(m, tuple(letters)))
     if len(reduced.letters) + n * delta_length(m) > MAX_WORD_LENGTH:
         raise LSchemeError(f"braid word longer than {MAX_WORD_LENGTH} letters")
@@ -353,14 +348,15 @@ def _r_encoding(ls: LScheme) -> list[Event]:
     if not ls.is_closed_scheme():
         raise LSchemeError("trigonal encodings need a closed scheme")
     out: list[Event] = []
-    for ev in _expand_ovals(ls.events):
-        if ev.kind in "/\\":
-            raise LSchemeError("trigonal encodings do not admit divisor events")
-        if ev.kind == "x":
-            out.append(Event(">", ev.index))
-            out.append(Event("<", ev.index))
-        else:
+    for ev in ls.events:
+        kinds = _KINDS[ev.kind].tangencies
+        if len(kinds) == 1:
             out.append(ev)
+        elif kinds:
+            first, second = kinds
+            out += (Event(first, ev.index), Event(second, ev.index))
+        else:
+            raise LSchemeError("trigonal encodings do not admit divisor events")
     return out
 
 

@@ -14,7 +14,7 @@ from ruledcurves import cli
 from ruledcurves.braid import BraidError, parse_braid
 from ruledcurves.comb import CombError, parse_comb, parse_weighted_comb
 from ruledcurves.laurent import LaurentError, parse_poly
-from ruledcurves.lscheme import LSchemeError, parse_scheme
+from ruledcurves.lscheme import Event, LScheme, LSchemeError, parse_scheme, render_scheme
 from ruledcurves.schemes7 import SchemeError, parse_complex_scheme, parse_real_scheme
 
 # Numbers a text may hold: small ones, the edges of the caps, and huge
@@ -104,6 +104,30 @@ def test_parsers_parse_or_raise_their_error(parser):
     rng = random.Random(f"fuzz:{parser.__name__}")
     slowest = max(outcome(parser, error, generate(rng, any_number)) for _ in range(1500))
     assert slowest < 2.0
+
+
+# The six event kinds, and kind strings that are not one: empty, two
+# kinds glued together, a letter outside the alphabet.
+EVENT_KINDS = (">", "<", "x", "o", "/", "\\", "", "/\\", "<o", "z", "xo")
+
+
+def test_direct_construction_builds_only_what_the_text_form_writes():
+    """An LScheme built from events, not parsed, is accepted or refused
+    with LSchemeError; an accepted one renders to a text that parses back
+    to it."""
+    rng = random.Random("fuzz:LScheme")
+    accepted = 0
+    for _ in range(3000):
+        m = rng.randint(2, 6)
+        events = tuple(Event(rng.choice(EVENT_KINDS), rng.randint(0, m))
+                       for _ in range(rng.randint(0, 6)))
+        try:
+            ls = LScheme(rng.randint(0, 3), m, events)
+        except LSchemeError:
+            continue
+        accepted += 1
+        assert parse_scheme(render_scheme(ls)) == ls, events
+    assert accepted > 100
 
 
 # kind -> (valid inputs, input generator, assertion keys); unknown kinds

@@ -60,6 +60,15 @@ def test_parse_errors():
 def test_direct_construction_refusals():
     with pytest.raises(LSchemeError, match="unknown event kind 'z'"):
         LScheme(0, 3, (Event("z", 1),))
+    # kinds outside the six are refused where they stand, also those that
+    # are substrings of the six
+    for kind in ("", "/\\", "<o"):
+        refusal = re.escape(f"event 1 ({kind}0): unknown event kind")
+        with pytest.raises(LSchemeError, match=refusal):
+            LScheme(0, 3, (Event("x", 1), Event(kind, 0)))
+    # a divisor event has no index, so no text writes one but 0
+    with pytest.raises(LSchemeError, match=re.escape("event 0 (/): divisor event index must be 0")):
+        LScheme(0, 3, (Event("/", 2),))
     with pytest.raises(LSchemeError, match="surface index must be nonnegative"):
         LScheme(-1, 3, ())
     with pytest.raises(LSchemeError, match="at least 2 strands"):
@@ -151,6 +160,22 @@ def test_compiler_exponent_sum_offset():
             assert exponent_sum(to_braid(lifted)) == \
                 exponent_sum(base) + n * m * (m - 1) // 2
             assert to_braid(lifted).strands == m
+
+
+def test_compiler_exponent_sum_law():
+    """e(to_braid(ls)) = n*m(m-1)/2 + (m-1)(#/ + #\\) - #> - #x - #o. The
+    transport words have exponent sum 0, so a > or an x adds -1, a < adds
+    0, an o (a < then a >) adds -1 and a divisor event m - 1."""
+    def law(ls):
+        m, count = ls.strands, [ev.kind for ev in ls.events].count
+        return (ls.surface_index * m * (m - 1) // 2 + (m - 1) * (count("/") + count("\\"))
+                - count(">") - count("x") - count("o"))
+
+    trigonal = [LScheme(n, 3, events) for n in range(3) for events in _closed_trigonal_events(6)]
+    rng = random.Random(97)
+    drawn = [random_scheme(rng, m=rng.randint(2, 7)) for _ in range(20000)]
+    for ls in trigonal + drawn:
+        assert exponent_sum(to_braid(ls)) == law(ls), render_scheme(ls)
 
 
 def test_compiler_rejects_fragments():
