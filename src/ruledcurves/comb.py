@@ -320,34 +320,54 @@ def algebraic_realizability_verdict(ls) -> bool:
 
 # -- text form ----------------------------------------------------------
 
-# A body with a bad token does not match: it is refused, not copied k times.
-_COMB_GROUP = re.compile(r"\(((?:\s*g[1-6])*\s*)\)\^(\d+)")
-_COMB_TOKEN = re.compile(r"^g([1-6])$")
+# Whitespace, an opening parenthesis, a closing ')^k', a letter, or one
+# character of anything else.
+_COMB_LEXEME = re.compile(r"(\s+)|(\()|\)\^(\d+)|g([1-6])|\S")
 
 
 def parse_comb(text: str) -> Comb:
-    """Parse 'g<i>' tokens and '(...)^k' groups, innermost group first; a
-    comb of more than MAX_WORD_LENGTH letters is refused before it is built."""
-    text = text.strip()
-    if text == "1":
+    """Parse 'g<i>' tokens and '(...)^k' groups in one pass, keeping the
+    letters of the open groups on a stack. Before a group is expanded, the
+    comb it would make, with the letters written after it counted once, is
+    refused if longer than MAX_WORD_LENGTH letters. Letters must be apart:
+    whitespace or a group with k >= 1 parts them, an erased group ()^0
+    does not, so 'g1g2' and 'g1(g2)^0g3' are refused unless erased."""
+    if text.strip() == "1":
         return ()
-    while True:
-        m = _COMB_GROUP.search(text)
-        if not m:
-            break
-        head, body, tail = text[:m.start()], m.group(1).split(), text[m.end():]
-        k = parse_int(m.group(2), CombError)
-        if len(head.split()) + len(body) * k + len(tail.split()) > MAX_WORD_LENGTH:
-            raise CombError(f"comb longer than {MAX_WORD_LENGTH} letters")
-        # k passes the cap only for an empty body, and [] * k overflows past sys.maxsize
-        text = head + (f" {' '.join(body * min(k, MAX_WORD_LENGTH))} " if k else "") + tail
-    word = []
-    for token in text.split():
-        tm = _COMB_TOKEN.match(token)
-        if not tm:
-            raise CombError(f"bad comb token {token!r}")
-        word.append(int(tm.group(1)))
-    return tuple(word)
+    lexemes = list(_COMB_LEXEME.finditer(text))
+    spare = MAX_WORD_LENGTH - sum(1 for m in lexemes if m.group(4))  # minus held and unread
+    # The open group's letters, its first two touching letters, and
+    # whether its last lexeme is a letter; the enclosing groups' are
+    # stacked with the position of their '('.
+    letters, touching, adjacent, stack = [], None, False, []
+    for m in lexemes:
+        space, group, power, letter = m.groups()
+        if letter:
+            if adjacent:
+                touching = touching or f"g{letters[-1]}g{letter}"
+            letters.append(int(letter))
+            adjacent = True
+        elif space:
+            adjacent = False
+        elif group:
+            stack.append((letters, touching, adjacent, m.start()))
+            letters, touching, adjacent = [], None, False
+        elif power is None or not stack:
+            raise CombError(f"bad comb token {text[m.start():].split()[0]!r}")
+        else:
+            k = parse_int(power, CombError)
+            spare -= len(letters) * (k - 1)
+            if spare < 0:
+                raise CombError(f"comb longer than {MAX_WORD_LENGTH} letters")
+            body, inner = letters, touching
+            letters, touching, before, _ = stack.pop()
+            # k passes the cap only for an empty body, and [] * k overflows past sys.maxsize
+            letters += body * min(k, MAX_WORD_LENGTH)
+            touching = touching or (inner if k else None)
+            adjacent = before and not k
+    if stack or touching:
+        raise CombError(f"bad comb token {touching or text[stack[0][3]:].split()[0]!r}")
+    return tuple(letters)
 
 
 def render_comb(word: Comb) -> str:

@@ -331,7 +331,7 @@ def alexander_polynomial(b: BraidWord) -> LaurentPoly:
         a = [[(low + v, _widen(0, raw, k, wide)) for v, raw in ds] for ds in digits]
     d = _det(a, wide)[1]
     if not d:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     det = _coefficients(_digit_bytes(d, wide)[1], wide)
     delta = [x - y for x, y in zip(det + [0], [0] + det)]
     for j in range(m, len(delta)):
@@ -389,10 +389,10 @@ def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
             return (Obstruction("alex", m, e, f"det(rho(t) - I) at t = {_BURAU_POINT}"
                                               f" mod {_BURAU_PRIME} = {residue}"),)
         p = alexander_polynomial(b)
-        return () if p.is_zero() else (Obstruction("alex", m, e, format_poly(p)),)
+        return (Obstruction("alex", m, e, format_poly(p)),) if p else ()
     p = alexander_polynomial(b)
     fired = []
-    if not p.is_zero() and has_simple_unit_circle_root(p):
+    if p and has_simple_unit_circle_root(p):
         fired.append(Obstruction("double_alex", m, e, format_poly(p)))
     det = _determinant(p)
     if not _is_perfect_square(det):

@@ -1,8 +1,11 @@
 """
 Exact integer Laurent polynomials in one variable t.
 
-A polynomial is stored as a sparse mapping exponent -> coefficient with no
-zero coefficients; the zero polynomial is the empty mapping. Coefficients
+A LaurentPoly is a sparse mapping exponent -> coefficient with no zero
+coefficients; the zero polynomial is the empty mapping. It is the form of
+the text boundary: the parser builds it, the fixtures compare it. The
+arithmetic (exact division, gcd, the unit-circle test) runs on dense
+lists: a valuation v plus the coefficients from degree 0 up. Coefficients
 are Python ints, so nothing ever overflows. The textual form is the one
 used throughout the CLI and fixture files, e.g.
 
@@ -37,7 +40,8 @@ MAX_POLY_DEPTH = 8
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial, immutable after construction."""
+    """An integer Laurent polynomial, immutable after construction; it is
+    true when nonzero."""
 
     __slots__ = ("coeffs",)
 
@@ -48,31 +52,12 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly({})
-
-    @staticmethod
-    def one() -> LaurentPoly:
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def term(coeff: int, exp: int = 0) -> LaurentPoly:
-        return LaurentPoly({exp: coeff})
-
-    # -- basics -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly.term(other)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -86,30 +71,11 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
 
-    def lowest_exp(self) -> int:
-        """Valuation; raises on the zero polynomial."""
-        if not self.coeffs:
-            raise LaurentError("zero polynomial has no lowest exponent")
-        return min(self.coeffs)
-
-    def highest_exp(self) -> int:
-        if not self.coeffs:
-            raise LaurentError("zero polynomial has no highest exponent")
-        return max(self.coeffs)
-
-    # -- ring operations ----------------------------------------------
-
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
@@ -126,7 +92,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> LaurentPoly:
         if k < 0:
             raise LaurentError("negative powers of polynomials are not defined")
-        acc = LaurentPoly.one()
+        acc = LaurentPoly({0: 1})
         base = self
         while k:
             if k & 1:
@@ -136,76 +102,57 @@ class LaurentPoly:
                 base = base * base
         return acc
 
-    def shift(self, k: int) -> LaurentPoly:
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    # -- normalisation -------------------------------------------------
-
     def normalized_unit(self) -> LaurentPoly:
         """Multiply by a unit ±t^k so that the lowest exponent is 0 and the
         coefficient of the highest exponent is positive; 0 maps to 0."""
         if not self.coeffs:
             return self
-        shifted = self.shift(-self.lowest_exp())
-        if shifted.coeffs[shifted.highest_exp()] < 0:
-            shifted = -shifted
-        return shifted
-
-    def dense_int_coeffs(self) -> list[int]:
-        """Coefficients of the unit-normalised polynomial from degree 0 up."""
-        p = self.normalized_unit()
-        if not p.coeffs:
-            return []
-        return [p.coeffs.get(e, 0) for e in range(0, p.highest_exp() + 1)]
-
-
-def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Return r with r*q == p, or raise LaurentError if no Laurent
-    polynomial with integer coefficients does the job."""
-    if q.is_zero():
-        raise LaurentError("division by zero polynomial")
-    if p.is_zero():
-        return LaurentPoly.zero()
-    shift = p.lowest_exp() - q.lowest_exp()
-    num = p.shift(-p.lowest_exp())
-    den = q.shift(-q.lowest_exp())
-    # Ordinary long division over the integers.
-    rem = dict(num.coeffs)
-    out: dict[int, int] = {}
-    dd = den.highest_exp()
-    lc = den.coeffs[dd]
-    while rem:
-        top = max(rem)
-        if top < dd:
-            raise LaurentError("inexact polynomial division")
-        c, r = divmod(rem[top], lc)
-        if r != 0:
-            raise LaurentError("inexact polynomial division")
-        out[top - dd] = c
-        for e, dc in den.coeffs.items():
-            k = e + top - dd
-            v = rem.get(k, 0) - c * dc
-            if v == 0:
-                rem.pop(k, None)
-            else:
-                rem[k] = v
-    return LaurentPoly(out).shift(shift)
-
-
-def _primitive(p: LaurentPoly) -> LaurentPoly:
-    """Unit-normalise, strip integer content, make the leading coefficient
-    positive. The result generates the same ideal over the rationals."""
-    p = p.normalized_unit()
-    if p.is_zero():
-        return p
-    g = math.gcd(*p.coeffs.values())
-    return LaurentPoly({e: c // g for e, c in p.coeffs.items()})
+        low, sign = min(self.coeffs), -1 if self.coeffs[max(self.coeffs)] < 0 else 1
+        return LaurentPoly({e - low: sign * c for e, c in self.coeffs.items()})
 
 
 # -- dense integer polynomials ------------------------------------------
 # Coefficient lists from degree 0 up with a nonzero last entry; [] is the
-# zero polynomial.
+# zero polynomial. A Laurent polynomial is t^v times such a list.
+
+
+def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
+    """(v, a) with p = t^v * sum_i a[i] t^i and a[0] != 0; (0, []) for 0."""
+    if not p.coeffs:
+        return 0, []
+    low = min(p.coeffs)
+    return low, [p.coeffs.get(e, 0) for e in range(low, max(p.coeffs) + 1)]
+
+
+def _dense_divide(a: list[int], b: list[int]) -> list[int] | None:
+    """q with q * b == a over the integers, by long division from the top,
+    or None when there is none; b is nonzero."""
+    db, lc = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + db], lc)
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    return None if any(r[:db]) else q
+
+
+def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Return r with r*q == p, or raise LaurentError if no Laurent
+    polynomial with integer coefficients does the job. With p = t^v a and
+    q = t^w b, a(0) and b(0) nonzero, r = t^(v-w) a/b, and a/b is a
+    polynomial whenever it is a Laurent polynomial."""
+    if not q:
+        raise LaurentError("division by zero polynomial")
+    (v, a), (w, b) = _dense(p), _dense(q)
+    quotient = _dense_divide(a, b)
+    if quotient is None:
+        raise LaurentError("inexact polynomial division")
+    return LaurentPoly(dict(enumerate(quotient, v - w)))
 
 
 def _dense_primitive(a: list[int]) -> list[int]:
@@ -248,23 +195,13 @@ def gcd_primitive(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd over the rationals, returned as a primitive integer polynomial
     with positive leading coefficient. Computed by the primitive
     pseudo-remainder sequence, stripping content at each step."""
-    if p.is_zero() and q.is_zero():
+    if not p and not q:
         raise LaurentError("gcd of two zero polynomials")
-    g = _dense_gcd(p.dense_int_coeffs(), q.dense_int_coeffs())
-    return _primitive(LaurentPoly(dict(enumerate(g))))
+    g = _dense_gcd(_dense(p)[1], _dense(q)[1])
+    return LaurentPoly({e: -c if g[-1] < 0 else c for e, c in enumerate(g)})
 
 
 # -- exact unit-circle test ----------------------------------------------
-
-
-def _deflate(q: list[int], r: int) -> list[int]:
-    """q / (t - r) for a root r of q, by synthetic division."""
-    out = [0] * (len(q) - 1)
-    acc = 0
-    for i in range(len(q) - 1, 0, -1):
-        acc = q[i] + r * acc
-        out[i - 1] = acc
-    return out
 
 
 def _half_degree(q: list[int]) -> list[int]:
@@ -322,14 +259,13 @@ def has_simple_unit_circle_root(p: LaurentPoly) -> bool:
     - one Sturm chain of h counts its distinct roots in (-2, 2) and ends
       in gcd(h, h'), whose roots are the repeated ones; a simple root
       exists iff h has more distinct roots there than gcd(h, h') has."""
-    if p.is_zero():
+    if not p:
         raise LaurentError("unit-circle roots of the zero polynomial")
-    q = p.dense_int_coeffs()
+    q = _dense(p)[1]
     for r in (1, -1):
         mult = 0
-        while len(q) > 1 and _sign_at(q, r) == 0:
-            q = _deflate(q, r)
-            mult += 1
+        while len(q) > 1 and (rest := _dense_divide(q, [-r, 1])) is not None:
+            q, mult = rest, mult + 1
         if mult == 1:
             return True
     if q != q[::-1]:
@@ -351,7 +287,7 @@ _TOKEN = re.compile(
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical flat text: monomials in decreasing exponent order."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts: list[str] = []
     for e in sorted(p.coeffs, reverse=True):
@@ -371,7 +307,7 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 def _span(p: LaurentPoly) -> int:
-    return p.highest_exp() - p.lowest_exp() if p.coeffs else 0
+    return max(p.coeffs) - min(p.coeffs) if p.coeffs else 0
 
 
 class _Parser:
@@ -439,13 +375,13 @@ class _Parser:
                 inner = inner ** k
             return inner
         if kind == "int":
-            return LaurentPoly.term(parse_int(self.take()[1], LaurentError))
+            return LaurentPoly({0: parse_int(self.take()[1], LaurentError)})
         if kind == "t":
             self.take()
             exp = 1
             if self.peek() == "pow":
                 exp = parse_int(self.take()[1][1:], LaurentError)
-            return LaurentPoly.term(1, exp)
+            return LaurentPoly({exp: 1})
         raise LaurentError("expected a monomial or parenthesised factor")
 
 

@@ -63,8 +63,8 @@ class LScheme:
             raise LSchemeError("surface index must be nonnegative")
         if self.strands < 2:
             raise LSchemeError("at least 2 strands are required")
-        closed = _validate(self.surface_index, self.strands, self.events)
-        object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "_closed", _validate(self.strands, self.events))
 
     def is_closed_scheme(self) -> bool:
         """Starts and ends at the full intersection count (meets the
@@ -118,6 +118,8 @@ def _refusal(ev: Event, row: _Kind, count: str, m: int) -> str | None:
     """Why ev cannot stand at the running count, or None. The index of a
     crossing is bounded by the running count, that of a tangency-class
     event by the full count m."""
+    if type(ev.index) is not int:
+        return f"index must be an int, not {type(ev.index).__name__}"
     if row.needs and row.needs != count:
         return f"{row.name} needs the {row.needs} count"
     if not row.tangencies:
@@ -135,7 +137,7 @@ def _refusal(ev: Event, row: _Kind, count: str, m: int) -> str | None:
     return None
 
 
-def _validate(n: int, m: int, events: tuple[Event, ...]) -> bool:
+def _validate(m: int, events: tuple[Event, ...]) -> bool:
     """Check every event against the running count, which starts at the
     count that the first event needing one needs (full when none does).
     Returns whether the sequence starts and ends at the full count, i.e.

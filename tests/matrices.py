@@ -7,7 +7,7 @@ from ruledcurves.laurent import LaurentPoly
 
 def mat_mul(a, b):
     n = len(a)
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     out = []
     for i in range(n):
         row = []

@@ -53,6 +53,7 @@ def test_parse_render():
 
 def test_parse_comb_groups_and_cap():
     assert parse_comb("(g1 (g3 g4)^2 g2)^2") == (1, 3, 4, 3, 4, 2) * 2
+    assert parse_comb("((g1 g2)^2 g3)^3") == (1, 2, 1, 2, 3) * 3
     assert parse_comb("g1 ()^1000000000 g2") == (1, 2)
     with pytest.raises(CombError):
         parse_comb("g1(g2)^0g3")  # an empty power does not split tokens apart
@@ -71,6 +72,17 @@ def test_parse_comb_groups_and_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_parse_comb_is_one_pass():
+    # A text that rescanned and rebuilt itself at each group would cost
+    # quadratic time: many groups after a long one, 4 KB in all.
+    text = "(g1 g2)^48000 " + " ".join(["(g1)^1"] * 580)
+    assert len(text) == 4073
+    start = time.perf_counter()
+    word = parse_comb(text)
+    assert time.perf_counter() - start < 1.0
+    assert word == (1, 2) * 48000 + (1,) * 580
 
 
 def test_closure_anchors():

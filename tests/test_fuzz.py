@@ -111,21 +111,26 @@ def test_parsers_parse_or_raise_their_error(parser):
 EVENT_KINDS = (">", "<", "x", "o", "/", "\\", "", "/\\", "<o", "z", "xo")
 
 
+# Index types: the int a text holds, and a float and a bool that equal one.
+INDEX_TYPES = (int, int, int, float, bool)
+
+
 def test_direct_construction_builds_only_what_the_text_form_writes():
     """An LScheme built from events, not parsed, is accepted or refused
-    with LSchemeError; an accepted one renders to a text that parses back
-    to it."""
+    with LSchemeError; an accepted one, also from a list of events, is
+    hashable and renders to a text that parses back to it."""
     rng = random.Random("fuzz:LScheme")
     accepted = 0
     for _ in range(3000):
         m = rng.randint(2, 6)
-        events = tuple(Event(rng.choice(EVENT_KINDS), rng.randint(0, m))
-                       for _ in range(rng.randint(0, 6)))
+        events = [Event(rng.choice(EVENT_KINDS), rng.choice(INDEX_TYPES)(rng.randint(0, m)))
+                  for _ in range(rng.randint(0, 6))]
         try:
-            ls = LScheme(rng.randint(0, 3), m, events)
+            ls = LScheme(rng.randint(0, 3), m, rng.choice((tuple, list))(events))
         except LSchemeError:
             continue
         accepted += 1
+        assert hash(ls) == hash(parse_scheme(render_scheme(ls)))
         assert parse_scheme(render_scheme(ls)) == ls, events
     assert accepted > 100
 

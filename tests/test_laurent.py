@@ -33,20 +33,20 @@ def test_add_examples():
     assert P("t - 1") + P("1") == P("t")
     assert P("t^-1 + 1") + P("-t^-1") == P("1")
     p = P("3*t^2 - t^-5")
-    assert p + LaurentPoly.zero() == p
+    assert p + P("0") == p
 
 
 def test_mul_examples():
     assert P("t - 1") * P("t^4 - t^3 + t^2 - t + 1") == \
         P("t^5 - 2*t^4 + 2*t^3 - 2*t^2 + 2*t - 1")
     p = P("t^2 - 7*t^-3")
-    assert p * LaurentPoly.one() == p
-    assert p * LaurentPoly.zero() == LaurentPoly.zero()
+    assert p * P("1") == p
+    assert p * P("0") == P("0")
 
 
 def test_hash_agrees_with_equality():
     # a constant polynomial equals its integer, so it must hash like it
-    for value, poly in ((0, LaurentPoly.zero()), (1, LaurentPoly.one()), (-3, P("-3"))):
+    for value, poly in ((0, P("0")), (1, P("1")), (-3, P("-3"))):
         assert poly == value and hash(poly) == hash(value)
         assert {poly} == {value} and {value: "x"}[poly] == "x"
     p = P("2*t^3 - t^-1 + 5")
@@ -70,7 +70,7 @@ def test_normalize_unit():
     assert P("-1").normalized_unit() == P("1")
     p = P("t^5 - 2*t^4 + 2*t^3 - 2*t^2 + 2*t - 1")
     assert p.normalized_unit() == p
-    assert LaurentPoly.zero().normalized_unit() == LaurentPoly.zero()
+    assert P("0").normalized_unit() == P("0")
 
 
 def test_normalize_unit_idempotent_and_unit_invariant():
@@ -81,17 +81,21 @@ def test_normalize_unit_idempotent_and_unit_invariant():
         assert q.normalized_unit() == q
         k = rng.randint(-3, 3)
         sign = rng.choice((1, -1))
-        assert (p.shift(k) * sign).normalized_unit() == q
+        assert (p * LaurentPoly({k: sign})).normalized_unit() == q
 
 
 def test_divide_exact():
     assert divide_exact(P("t^2 - 1"), P("t - 1")) == P("t + 1")
     p = P("3*t^3 - t^-2")
-    assert divide_exact(p, LaurentPoly.one()) == p
+    assert divide_exact(p, P("1")) == p
+    assert divide_exact(P("t^-3 - t^-1"), P("t^-2 - 1")) == P("t^-1")
+    assert divide_exact(P("0"), P("t - 1")) == P("0")
     with pytest.raises(LaurentError):
         divide_exact(P("t + 2"), P("t - 1"))
-    with pytest.raises(LaurentError):
-        divide_exact(P("t"), LaurentPoly.zero())
+    with pytest.raises(LaurentError, match="inexact polynomial division"):
+        divide_exact(P("t"), P("t^2 + 1"))
+    with pytest.raises(LaurentError, match="division by zero"):
+        divide_exact(P("t"), P("0"))
     with pytest.raises(LaurentError, match="inexact polynomial division"):
         divide_exact(P("t^2 + 1"), P("2*t"))
     with pytest.raises(LaurentError, match="negative powers"):
@@ -103,34 +107,34 @@ def test_divide_exact_roundtrip():
     for _ in range(200):
         p = random_poly(rng)
         q = random_poly(rng)
-        if q.is_zero():
+        if not q:
             continue
         assert divide_exact(p * q, q) == p
 
 
 def test_gcd():
     assert gcd_primitive(P("t^2 - 1"), P("t - 1")) == P("t - 1")
-    assert gcd_primitive(P("t - 1"), LaurentPoly.zero()) == P("t - 1")
+    assert gcd_primitive(P("t - 1"), P("0")) == P("t - 1")
     with pytest.raises(LaurentError):
-        gcd_primitive(LaurentPoly.zero(), LaurentPoly.zero())
+        gcd_primitive(P("0"), P("0"))
     rng = random.Random(5)
     for _ in range(100):
         g = random_poly(rng, max_terms=3)
         a = random_poly(rng, max_terms=3)
         b = random_poly(rng, max_terms=3)
-        if g.is_zero() or a.is_zero() or b.is_zero():
+        if not (g and a and b):
             continue
         d = gcd_primitive(g * a, g * b)
         # the common factor divides the gcd
         divide_exact(d, gcd_primitive(d, g.normalized_unit()))  # no exactness error
-        assert not d.is_zero()
+        assert d
 
 
 def multiplicity_one_part(p):
     """The product of the linear factors of p of multiplicity exactly one,
     s1 = (p/g) / gcd(p/g, g) with g = gcd(p, p'), as a primitive
     polynomial; gcd_primitive(q, 0) is the primitive part of q."""
-    zero = LaurentPoly.zero()
+    zero = P("0")
     p = gcd_primitive(p, zero)
     g = gcd_primitive(p, LaurentPoly({e - 1: e * c for e, c in p.coeffs.items()}))
     h = gcd_primitive(divide_exact(p, g), zero)
@@ -142,9 +146,15 @@ def test_multiplicity_one_part():
     assert multiplicity_one_part(P("t - 1")) == P("t - 1")
 
 
+def dense(p):
+    """Coefficients of the unit-normalised p from degree 0 up."""
+    q = p.normalized_unit()
+    return [q.coeffs.get(e, 0) for e in range(max(q.coeffs, default=-1) + 1)]
+
+
 def _roots_by_multiplicity(np, p):
     """Independent oracle: cluster the numeric roots of p."""
-    coeffs = list(reversed(p.dense_int_coeffs()))
+    coeffs = list(reversed(dense(p)))
     roots = np.roots([float(c) for c in coeffs])
     clusters = []
     for r in roots:
@@ -168,7 +178,7 @@ def test_multiplicity_one_part_against_numeric_roots():
         s1 = multiplicity_one_part(p)
         assert s1 == simple.normalized_unit()
         # no root of the squared factor survives
-        assert gcd_primitive(s1, square).highest_exp() == 0
+        assert gcd_primitive(s1, square) == 1
         simple_roots = {round(c[0].real, 5) + 1j * round(c[0].imag, 5)
                         for c in _roots_by_multiplicity(np, p) if len(c) == 1}
         s1_roots = {round(c[0].real, 5) + 1j * round(c[0].imag, 5)
@@ -182,7 +192,7 @@ def test_unit_circle_root():
     assert not has_simple_unit_circle_root(P("(t - 1)^2"))
     assert not has_simple_unit_circle_root(P("t - 2"))
     with pytest.raises(LaurentError):
-        has_simple_unit_circle_root(LaurentPoly.zero())
+        has_simple_unit_circle_root(P("0"))
 
 
 def cyclotomic(n):
@@ -208,7 +218,7 @@ OFF_CIRCLE = [P("t^2 - 3*t + 1"), P("2*t^2 - 5*t + 2"), P("t - 2"), P("t^2 + t +
 def test_cyclotomic_factors():
     assert ON_CIRCLE[0] == P("t - 1") and ON_CIRCLE[1] == P("t + 1")
     assert ON_CIRCLE[11] == P("t^4 - t^2 + 1")
-    assert [f.highest_exp() for f in ON_CIRCLE] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert [max(f.coeffs) for f in ON_CIRCLE] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_unit_circle_root_by_construction():
@@ -234,7 +244,8 @@ def test_unit_circle_root_on_random_products():
     for _ in range(300):
         chosen = rng.sample(range(len(pool)), rng.randint(1, 4))
         mults = {i: rng.randint(1, 3) for i in chosen}
-        p = LaurentPoly.term(rng.choice((1, -1)), rng.randint(-5, 5))
+        sign = rng.choice((1, -1))
+        p = LaurentPoly({rng.randint(-5, 5): sign})
         for i, r in mults.items():
             p = p * pool[i] ** r
         want = any(r == 1 for i, r in mults.items() if i < len(ON_CIRCLE))
@@ -244,7 +255,7 @@ def test_unit_circle_root_on_random_products():
 def _float_unit_circle_rule(np, p):
     """The companion-matrix rule: a root of the multiplicity-one part
     within 1e-8 of |z| = 1."""
-    coeffs = multiplicity_one_part(p).dense_int_coeffs()
+    coeffs = dense(multiplicity_one_part(p))
     if len(coeffs) <= 1:
         return False
     roots = np.roots([float(c) for c in reversed(coeffs)])
@@ -265,7 +276,7 @@ def test_unit_circle_root_against_numeric_roots():
                    + [-rng.randint(1, m - 1) for _ in range(negative)])
         rng.shuffle(letters)
         p = alexander_polynomial(word(m, letters))
-        if p.is_zero():
+        if not p:
             continue
         assert has_simple_unit_circle_root(p) == _float_unit_circle_rule(np, p), format_poly(p)
         checked += 1
@@ -276,8 +287,9 @@ def test_text_round_trip():
     for _ in range(200):
         p = random_poly(rng)
         assert parse_poly(format_poly(p)) == p
-    assert format_poly(LaurentPoly.zero()) == "0"
-    assert parse_poly("0") == LaurentPoly.zero()
+    assert format_poly(LaurentPoly()) == "0"
+    assert parse_poly("0") == LaurentPoly()
+    assert not parse_poly("0") and parse_poly("-1") and parse_poly("t^-1")
     assert format_poly(P("-t^-2 + 3")) == "3 - t^-2"
     with pytest.raises(LaurentError):
         parse_poly("t^^2")
@@ -298,10 +310,10 @@ def test_parse_refuses_wide_powers_and_products():
         with pytest.raises(LaurentError, match="wider than"):
             parse_poly(text)
     at_cap = parse_poly(f"(t+1)^{MAX_POLY_SPAN}")
-    assert at_cap.highest_exp() == MAX_POLY_SPAN and at_cap.lowest_exp() == 0
+    assert max(at_cap.coeffs) == MAX_POLY_SPAN and min(at_cap.coeffs) == 0
     assert at_cap.coeffs[MAX_POLY_SPAN // 2] == math.comb(MAX_POLY_SPAN, MAX_POLY_SPAN // 2)
     assert parse_poly(f"(t^2-1)^{MAX_POLY_SPAN // 2}") == P("t^2-1") ** (MAX_POLY_SPAN // 2)
-    assert parse_poly("(t^-3)^1000*t^1000000000") == LaurentPoly.term(1, 10**9 - 3000)
+    assert parse_poly("(t^-3)^1000*t^1000000000") == LaurentPoly({10**9 - 3000: 1})
 
 
 def test_nesting_beyond_the_cap_is_refused():

@@ -69,6 +69,11 @@ def test_direct_construction_refusals():
     # a divisor event has no index, so no text writes one but 0
     with pytest.raises(LSchemeError, match=re.escape("event 0 (/): divisor event index must be 0")):
         LScheme(0, 3, (Event("/", 2),))
+    # only an int index has a text form; a list of events is stored as a tuple
+    for index, name in ((1.0, "float"), (True, "bool")):
+        with pytest.raises(LSchemeError, match=f"index must be an int, not {name}"):
+            LScheme(0, 3, (Event("x", index),))
+    assert LScheme(0, 3, [Event("x", 1)]) == parse_scheme("n=0 m=3; x1")
     with pytest.raises(LSchemeError, match="surface index must be nonnegative"):
         LScheme(-1, 3, ())
     with pytest.raises(LSchemeError, match="at least 2 strands"):

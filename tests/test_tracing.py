@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps package functions by name. Every traced
 name must resolve, and every module that imports one by name must hold
 the same object, or tracing fails or misses calls. The benchmark's
-worker calls package names too, and each must resolve. The tracer module
-is only imported and constructed here, and the worker is only parsed;
-nothing is installed."""
+worker calls package names too, and each must resolve. The tracer must
+install on the package and run a parse and an Alexander polynomial, and
+uninstalling must restore every attribute it patched. The worker is only
+parsed."""
 
 import ast
 import importlib
@@ -50,3 +51,35 @@ def test_worker_names_resolve():
     for name in sorted(names):
         module_name, attr = name.split(".")
         assert hasattr(importlib.import_module(f"ruledcurves.{module_name}"), attr), name
+
+
+def test_tracer_installs_runs_and_restores():
+    """Install wraps the SPANS functions in every namespace that holds them
+    and counts LaurentPoly's +, * and reversed *; the parser and the
+    Alexander polynomial run under it, and uninstall puts back each
+    original."""
+    tracing = _tracing()
+    laurent = importlib.import_module("ruledcurves.laurent")
+    invariants = importlib.import_module("ruledcurves.invariants")
+    braid = importlib.import_module("ruledcurves.braid")
+    targets = [(laurent.LaurentPoly, name) for name in ("__mul__", "__rmul__", "__add__")]
+    for name, importers in tracing.SPANS:
+        module_name, attr = name.split(".")
+        targets += [(importlib.import_module(f"ruledcurves.{target}"), attr)
+                    for target in (module_name, *importers)]
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(owner, attr) is not original
+                   for (owner, attr), original in zip(targets, originals))
+        p = laurent.parse_poly("(t - 1)^2*(t + 1) + 1")
+        assert 2 * p == laurent.parse_poly("2*t^3 - 2*t^2 - 2*t + 4")
+        trefoil = invariants.alexander_polynomial(braid.word(2, [1, 1, 1]))
+        assert trefoil == laurent.parse_poly("t^2 - t + 1")
+        assert tracer.mul_calls and tracer.add_calls
+        assert [span[tracing.NAME] for span in tracer.spans] == ["invariants.alexander_polynomial"]
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original
+               for (owner, attr), original in zip(targets, originals))
