@@ -323,13 +323,18 @@ def algebraic_realizability_verdict(ls) -> bool:
 # Whitespace, an opening parenthesis, a closing ')^k', a letter, or one
 # character of anything else.
 _COMB_LEXEME = re.compile(r"(\s+)|(\()|\)\^(\d+)|g([1-6])|\S")
+# Deepest nesting of groups the parser accepts. Each group's letters are
+# copied into its parent when it closes, so the copying costs at most
+# MAX_COMB_DEPTH times the letters.
+MAX_COMB_DEPTH = 8
 
 
 def parse_comb(text: str) -> Comb:
     """Parse 'g<i>' tokens and '(...)^k' groups in one pass, keeping the
     letters of the open groups on a stack. Before a group is expanded, the
     comb it would make, with the letters written after it counted once, is
-    refused if longer than MAX_WORD_LENGTH letters. Letters must be apart:
+    refused if longer than MAX_WORD_LENGTH letters; a group nested deeper
+    than MAX_COMB_DEPTH is refused at its '('. Letters must be apart:
     whitespace or a group with k >= 1 parts them, an erased group ()^0
     does not, so 'g1g2' and 'g1(g2)^0g3' are refused unless erased."""
     if text.strip() == "1":
@@ -350,6 +355,8 @@ def parse_comb(text: str) -> Comb:
         elif space:
             adjacent = False
         elif group:
+            if len(stack) == MAX_COMB_DEPTH:
+                raise CombError(f"groups nested deeper than {MAX_COMB_DEPTH}")
             stack.append((letters, touching, adjacent, m.start()))
             letters, touching, adjacent = [], None, False
         elif power is None or not stack:

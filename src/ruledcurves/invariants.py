@@ -26,16 +26,7 @@ class ConventionError(RuntimeError):
     convention guarantees; signals a bug, not bad input."""
 
 
-# sigma_i^sign rewrites column k = i-1 of the matrix it acts on from the
-# right as a sum over (column offset, exponent shift, sign) of
-# sign * t^shift * column[k + offset]; columns outside 0..m-2 are zero.
-# _burau_mod_p reads it; _packed_burau applies it as shifts by k bits.
-_LETTER_ACTION = {
-    1: ((-1, 1, 1), (0, 1, -1), (1, 0, 1)),     # t*c[k-1] - t*c[k] + c[k+1]
-    -1: ((-1, 0, 1), (0, -1, -1), (1, -1, 1)),  # c[k-1] - t^-1*c[k] + t^-1*c[k+1]
-}
-
-# The digit width, in bits, that reduced_burau starts from, and the bits
+# The digit width, in bits, that _packed_burau starts from, and the bits
 # it leaves free above the column bounds whenever it widens the digits.
 _START_WIDTH = 64
 _SPARE_BITS = 64
@@ -102,13 +93,14 @@ def _packed_burau(b: BraidWord) -> tuple[int, int, list[list[int]]]:
     the entry p at row r and column c of reduced_burau(b), and -low the
     number of inverse letters of b (Kronecker substitution).
 
-    The letters act as in _LETTER_ACTION. Multiplying by t is a left
-    shift by k bits, so sigma_i sets column i-1 to ((x - y) << k) + z
-    and sigma_i^-1 to x + ((z - y) >> k), with x, y, z the old columns
-    i-2, i-1, i (zero outside 0..m-2). The right shift is exact: after j
-    inverse letters every entry has exponents >= -j, so while one is
-    still to come (j < -low) t^-low times each entry, and so z - y, is a
-    polynomial divisible by t, and its integer is divisible by X.
+    Acting on the right, sigma_i sets column i-1 to t*(x - y) + z and
+    sigma_i^-1 to x + t^-1*(z - y), with x, y, z the old columns i-2,
+    i-1, i (zero outside 0..m-2). Multiplying by t is a left shift by k
+    bits, so these are ((x - y) << k) + z and x + ((z - y) >> k). The
+    right shift is exact: after j inverse letters every entry has
+    exponents >= -j, so while one is still to come (j < -low) t^-low
+    times each entry, and so z - y, is a polynomial divisible by t, and
+    its integer is divisible by X.
 
     Width. bounds[c] bounds the absolute coefficients of column c, and a
     letter on column c sets bounds[c] to bounds[c-1] + bounds[c] +
@@ -176,34 +168,30 @@ def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
 # B_3 maps to I.
 _BURAU_PRIME = (1 << 61) - 1
 _BURAU_POINT = 37
-# _LETTER_ACTION at that point: indexed by letter > 0, the residues of
-# sign * t^shift for the column offsets -1, 0, 1.
-_ACTION_MOD_P = tuple(
-    tuple(sign * pow(_BURAU_POINT, shift, _BURAU_PRIME) % _BURAU_PRIME
-          for _, shift, sign in sorted(_LETTER_ACTION[key]))
-    for key in (-1, 1)
-)
+_BURAU_POINT_INVERSE = pow(_BURAU_POINT, -1, _BURAU_PRIME)
 
 
 def _burau_mod_p(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     """reduced_burau(b) with t = _BURAU_POINT, reduced modulo
     _BURAU_PRIME, entry by entry, in the same layout.
 
-    The same product from the same _LETTER_ACTION table, with each
-    t^shift replaced by its residue: O(m) small-integer operations per
-    letter and no polynomial arithmetic. Evaluation at an invertible
-    residue is a ring homomorphism from Z[t, t^-1] to Z/_BURAU_PRIME, so
-    this is the image of b in GL_{m-1}(Z/_BURAU_PRIME)."""
-    n, p = b.strands - 1, _BURAU_PRIME
+    The same column action as _packed_burau, with t and t^-1 replaced by
+    their residues: O(m) small-integer operations per letter and no
+    polynomial arithmetic. Evaluation at an invertible residue is a ring
+    homomorphism from Z[t, t^-1] to Z/_BURAU_PRIME, so this is the image
+    of b in GL_{m-1}(Z/_BURAU_PRIME)."""
+    n, p, t, t_inv = b.strands - 1, _BURAU_PRIME, _BURAU_POINT, _BURAU_POINT_INVERSE
     zero = [0] * n
-    # cols[k] is column k-1; the zero columns 0 and n+1 stand for the
+    # cols[i] is column i-1; the zero columns 0 and n+1 stand for the
     # neighbours outside 0..m-2.
     cols = [zero, *([int(r == c) for r in range(n)] for c in range(n)), zero]
     for letter in b.letters:
-        k = abs(letter)
-        left, mid, right = _ACTION_MOD_P[letter > 0]
-        cols[k] = [(left * x + mid * y + right * z) % p
-                   for x, y, z in zip(cols[k - 1], cols[k], cols[k + 1])]
+        i = abs(letter)
+        if letter > 0:
+            cols[i] = [(t * (x - y) + z) % p for x, y, z in zip(cols[i - 1], cols[i], cols[i + 1])]
+        else:
+            cols[i] = [(x + t_inv * (z - y)) % p
+                       for x, y, z in zip(cols[i - 1], cols[i], cols[i + 1])]
     return tuple(zip(*cols[1:-1]))
 
 

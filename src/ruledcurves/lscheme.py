@@ -22,6 +22,13 @@ Text form: header ``n=<surface> m=<strands>;`` then tokens, each
 optionally suffixed ``^<count>``; ``#`` starts a comment. A text expands
 to at most MAX_WORD_LENGTH events, names at most MAX_STRANDS strands,
 and its Delta^n padding in to_braid is at most MAX_WORD_LENGTH letters.
+
+Move patterns: a rewriting move is a row (pattern, replacement,
+relation), each side a space-separated list of terms in the event
+grammar. A term is a kind and an index term: j or k (bound at first
+use), j-1 or j+1 (solved for j), M for m-1, the literal 1, or nothing
+for / and \\. The kind u matches any of x < > and is copied whole into
+the replacement. The relation near asks |j-k| = 1, far |j-k| > 1.
 """
 
 from __future__ import annotations
@@ -143,10 +150,12 @@ def _validate(m: int, events: tuple[Event, ...]) -> bool:
     Returns whether the sequence starts and ends at the full count, i.e.
     whether it is closed; the rewriting moves also accept open
     fragments."""
-    rows = [_KINDS.get(ev.kind) for ev in events]
-    if None in rows:
-        ev = events[pos := rows.index(None)]
-        raise LSchemeError(f"event {pos} ({ev.token()}): unknown event kind {ev.kind!r}")
+    for pos, ev in enumerate(events):
+        if not isinstance(ev, Event):
+            raise LSchemeError(f"event {pos}: expected an Event, not {type(ev).__name__}")
+        if type(ev.kind) is not str or ev.kind not in _KINDS:
+            raise LSchemeError(f"event {pos} ({ev.token()}): unknown event kind {ev.kind!r}")
+    rows = [_KINDS[ev.kind] for ev in events]
     count = start = next((row.needs for row in rows if row.needs), _FULL)
     for pos, (ev, row) in enumerate(zip(events, rows)):
         refusal = _refusal(ev, row, count, m)
@@ -223,95 +232,81 @@ def to_braid(ls: LScheme) -> BraidWord:
 
 
 # -- elementary rewriting moves -----------------------------------------
-# One table per family: rule -> (pattern length, move). A move takes the
-# strand count m and the window of events at the position and returns
-# the replacement, or None when the pattern does not match. The
-# pseudoholomorphic moves preserve realizability one way; the caller
-# chooses rule and position explicitly.
+# One table per family, written in the notation of the module docstring:
+# rule -> (pattern, replacement, relation, rev). A rev row also yields
+# <rule>-rev, right after it, with the two sides swapped. _move compiles
+# a row to (pattern length, move), where a move takes the strand count m
+# and the window of events at the position and returns the replacement,
+# or None when the pattern does not match. The pseudoholomorphic moves
+# preserve realizability one way; the caller chooses rule and position
+# explicitly.
 
-
-def _is_adjacent(j: int, k: int) -> bool:
-    return abs(j - k) == 1
-
-
-def _u_kinds(ev: Event) -> bool:
-    return ev.kind in ("x", "<", ">")
-
-
-_PSEUDO_MOVES = {
-    # x_j >_{j±1} -> x_{j±1} >_j
-    "cross-tangency": (2, lambda m, a, b: [Event("x", b.index), Event(">", a.index)]
-                       if a.kind == "x" and b.kind == ">" and _is_adjacent(a.index, b.index)
-                       else None),
-    # <_{j±1} x_j -> <_j x_{j±1}
-    "tangency-cross": (2, lambda m, a, b: [Event("<", b.index), Event("x", a.index)]
-                       if a.kind == "<" and b.kind == "x" and _is_adjacent(a.index, b.index)
-                       else None),
-    # x_j u_k -> u_k x_j, |k-j| > 1
-    "cross-commute": (2, lambda m, a, b: [b, a]
-                      if a.kind == "x" and _u_kinds(b) and abs(a.index - b.index) > 1
-                      else None),
-    # \ >_{m-1} -> / >_1
-    "back-descend": (2, lambda m, a, b: [Event("/", 0), Event(">", 1)]
-                     if a.kind == "\\" and b == Event(">", m - 1) else None),
-    "back-descend-rev": (2, lambda m, a, b: [Event("\\", 0), Event(">", m - 1)]
-                         if a.kind == "/" and b == Event(">", 1) else None),
-    # <_{m-1} / -> <_1 \
-    "ascend-slash": (2, lambda m, a, b: [Event("<", 1), Event("\\", 0)]
-                     if a == Event("<", m - 1) and b.kind == "/" else None),
-    "ascend-slash-rev": (2, lambda m, a, b: [Event("<", m - 1), Event("/", 0)]
-                         if a == Event("<", 1) and b.kind == "\\" else None),
-    # \ u_k -> u_k \
-    "back-commute": (2, lambda m, a, b: [b, a]
-                     if a.kind == "\\" and _u_kinds(b) else None),
-    "back-commute-rev": (2, lambda m, a, b: [b, a]
-                         if _u_kinds(a) and b.kind == "\\" else None),
-    # / u_k -> u_k /
-    "slash-commute": (2, lambda m, a, b: [b, a]
-                      if a.kind == "/" and _u_kinds(b) else None),
-    "slash-commute-rev": (2, lambda m, a, b: [b, a]
-                          if _u_kinds(a) and b.kind == "/" else None),
-    # o_k <_k >_{k-1} -> <_k x_{k-1} >_k
-    "oval-slide": (3, lambda m, a, b, c: [Event("<", a.index), Event("x", a.index - 1),
-                                          Event(">", a.index)]
-                   if a.kind == "o" and b == Event("<", a.index)
-                   and c == Event(">", a.index - 1) else None),
-    "oval-slide-rev": (3, lambda m, a, b, c: [Event("o", a.index), Event("<", a.index),
-                                              Event(">", a.index - 1)]
-                       if a.kind == "<" and b == Event("x", a.index - 1)
-                       and c == Event(">", a.index) else None),
-    # <_k x_{k-1} >_k -> <_{k-1} >_k o_k
-    "oval-shift": (3, lambda m, a, b, c: [Event("<", a.index - 1), Event(">", a.index),
-                                          Event("o", a.index)]
-                   if a.kind == "<" and b == Event("x", a.index - 1)
-                   and c == Event(">", a.index) else None),
-    "oval-shift-rev": (3, lambda m, a, b, c: [Event("<", a.index + 1), Event("x", a.index),
-                                              Event(">", a.index + 1)]
-                       if a.kind == "<" and b == Event(">", a.index + 1)
-                       and c == Event("o", a.index + 1) else None),
-    # <_j >_{j±1} -> (empty)
-    "cancel-pair": (2, lambda m, a, b: []
-                    if a.kind == "<" and b.kind == ">" and _is_adjacent(a.index, b.index)
-                    else None),
-    # <_j >_k -> >_k <_j, |k-j| > 1
-    "pair-commute": (2, lambda m, a, b: [b, a]
-                     if a.kind == "<" and b.kind == ">" and abs(a.index - b.index) > 1
-                     else None),
-    # o_j -> (empty)
-    "drop-oval": (1, lambda m, a: [] if a.kind == "o" else None),
+_PSEUDO_TABLE = {
+    "cross-tangency": ("xj >k", "xk >j", "near", False),
+    "tangency-cross": ("<k xj", "<j xk", "near", False),
+    "cross-commute": ("xj uk", "uk xj", "far", False),
+    "back-descend": ("\\ >M", "/ >1", "", True),
+    "ascend-slash": ("<M /", "<1 \\", "", True),
+    "back-commute": ("\\ uj", "uj \\", "", True),
+    "slash-commute": ("/ uj", "uj /", "", True),
+    "oval-slide": ("oj <j >j-1", "<j xj-1 >j", "", True),
+    "oval-shift": ("<j xj-1 >j", "<j-1 >j oj", "", True),
+    "cancel-pair": ("<j >k", "", "near", False),
+    "pair-commute": ("<j >k", ">k <j", "far", False),
+    "drop-oval": ("oj", "", "", False),
 }
 
-_ALG_MOVES = {
-    # >_j <_{j±1} >_j -> >_j
-    "descend-zigzag": (3, lambda m, a, b, c: [a]
-                       if a.kind == ">" and b.kind == "<" and c == a
-                       and _is_adjacent(a.index, b.index) else None),
-    # <_j >_{j±1} <_j -> <_j
-    "ascend-zigzag": (3, lambda m, a, b, c: [a]
-                      if a.kind == "<" and b.kind == ">" and c == a
-                      and _is_adjacent(a.index, b.index) else None),
+_ALG_TABLE = {
+    "descend-zigzag": (">j <k >j", ">j", "near", False),
+    "ascend-zigzag": ("<j >k <j", "<j", "near", False),
 }
 
+_RELATIONS = {"near": lambda gap: gap == 1, "far": lambda gap: gap > 1}
+
+
+def _rows(table: dict):
+    """(rule, pattern, replacement, relation) for every rule of a family,
+    each -rev rule right after its forward rule."""
+    for rule, (pattern, replacement, relation, rev) in table.items():
+        yield rule, pattern, replacement, relation
+        if rev:
+            yield f"{rule}-rev", replacement, pattern, relation
+
+
+def _term(text: str) -> tuple[str, str | None, int]:
+    """'xj-1' -> ('x', 'j', -1): the event index is the variable plus the
+    offset. 'M' reads the variable m, bound to the strand count; a
+    literal or an absent index has no variable."""
+    kind, index = text[0], text[1:]
+    if index == "M":
+        return kind, "m", -1
+    if index[:1] in ("j", "k"):
+        return kind, index[0], int(index[1:] or 0)
+    return kind, None, int(index or 0)
+
+
+def _move(pattern: str, replacement: str, relation: str):
+    terms, out = [_term(t) for t in pattern.split()], [_term(t) for t in replacement.split()]
+
+    def move(m: int, *window: Event) -> list[Event] | None:
+        bound, held = {None: 0, "m": m}, None
+        for (kind, var, offset), ev in zip(terms, window):
+            if ev.kind != kind and not (kind == "u" and ev.kind in ("x", "<", ">")):
+                return None
+            if ev.index != bound.setdefault(var, ev.index - offset) + offset:
+                return None
+            if kind == "u":
+                held = ev
+        if relation and not _RELATIONS[relation](abs(bound["j"] - bound["k"])):
+            return None
+        return [held if kind == "u" else Event(kind, bound[var] + offset)
+                for kind, var, offset in out]
+
+    return len(terms), move
+
+
+_PSEUDO_MOVES = {rule: _move(*row) for rule, *row in _rows(_PSEUDO_TABLE)}
+_ALG_MOVES = {rule: _move(*row) for rule, *row in _rows(_ALG_TABLE)}
 PSEUDO_RULES = tuple(_PSEUDO_MOVES)
 ALG_RULES = tuple(_ALG_MOVES)
 
@@ -369,7 +364,7 @@ def _first_block_reduced(n: int, r: list[Event]) -> bool:
     first, last = r[0], r[-1]
     if n % 2 == 0:
         return last.index == first.index
-    return _is_adjacent(last.index, first.index)
+    return abs(last.index - first.index) == 1
 
 
 # Consecutive tangencies (previous kind, current kind, same index) ->

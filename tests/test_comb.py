@@ -85,6 +85,14 @@ def test_parse_comb_is_one_pass():
     assert word == (1, 2) * 48000 + (1,) * 580
 
 
+def test_parse_comb_caps_group_nesting():
+    # Each level copies its letters into its parent, so depth is capped at 8.
+    assert parse_comb("(" * 8 + "g1" + ")^2" * 8) == (1,) * 256
+    for text in ("(" * 9 + "g1" + ")^1" * 9, "(" * 570 + "(g1)^99000" + ")^1" * 570):
+        with pytest.raises(CombError, match="nested deeper than 8"):
+            parse_comb(text)
+
+
 def test_closure_anchors():
     assert is_closed(CLOSED_EXAMPLE)
     assert is_closed(())

@@ -106,24 +106,32 @@ def test_parsers_parse_or_raise_their_error(parser):
     assert slowest < 2.0
 
 
-# The six event kinds, and kind strings that are not one: empty, two
-# kinds glued together, a letter outside the alphabet.
-EVENT_KINDS = (">", "<", "x", "o", "/", "\\", "", "/\\", "<o", "z", "xo")
+# The six event kinds, kind strings that are not one (empty, two kinds
+# glued together, a letter outside the alphabet) and kinds that are not
+# strings (a list, which cannot be hashed, None and an int).
+EVENT_KINDS = (">", "<", "x", "o", "/", "\\", "", "/\\", "<o", "z", "xo", ["x"], None, 1)
 
 
 # Index types: the int a text holds, and a float and a bool that equal one.
 INDEX_TYPES = (int, int, int, float, bool)
 
+# What an event is built as: mostly an Event, else a plain tuple or the
+# token string of the same kind and index.
+EVENT_FORMS = (Event, Event, Event, Event, Event, Event, lambda kind, index: (kind, index),
+               lambda kind, index: f"{kind}{index}")
+
 
 def test_direct_construction_builds_only_what_the_text_form_writes():
     """An LScheme built from events, not parsed, is accepted or refused
-    with LSchemeError; an accepted one, also from a list of events, is
+    with LSchemeError, also when an event is not an Event or its kind is
+    not a string; an accepted one, also from a list of events, is
     hashable and renders to a text that parses back to it."""
     rng = random.Random("fuzz:LScheme")
     accepted = 0
     for _ in range(3000):
         m = rng.randint(2, 6)
-        events = [Event(rng.choice(EVENT_KINDS), rng.choice(INDEX_TYPES)(rng.randint(0, m)))
+        events = [rng.choice(EVENT_FORMS)(rng.choice(EVENT_KINDS),
+                                          rng.choice(INDEX_TYPES)(rng.randint(0, m)))
                   for _ in range(rng.randint(0, 6))]
         try:
             ls = LScheme(rng.randint(0, 3), m, rng.choice((tuple, list))(events))

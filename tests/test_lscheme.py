@@ -1,8 +1,11 @@
+import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from ruledcurves import lscheme
 from ruledcurves.braid import MAX_STRANDS, MAX_WORD_LENGTH, exponent_sum, parse_braid
 from ruledcurves.comb import WeightedComb, render_weighted_comb
 from ruledcurves.lscheme import (
@@ -302,6 +305,47 @@ def test_move_table(family, rule, text, pos, expected, miss):
     inverse = rule[:-len("-rev")] if rule.endswith("-rev") else f"{rule}-rev"
     if inverse in PSEUDO_RULES:
         assert rewrite(out, inverse, pos) == ls
+
+
+def test_rev_rules_undo_their_forward_rules_on_every_window():
+    """Wherever a rule or its -rev partner applies, on any window of the
+    six kinds with indices -1..m+1 (divisor events at 0), m = 2..5, the
+    other one maps its result back to the window."""
+    pairs = [(rule[:-len("-rev")], rule) for rule in PSEUDO_RULES if rule.endswith("-rev")]
+    assert len(pairs) == 6
+    for forward, backward in pairs:
+        length, there = lscheme._PSEUDO_MOVES[forward]
+        _, back = lscheme._PSEUDO_MOVES[backward]
+        applied = 0
+        for m in range(2, 6):
+            events = [Event(kind, i) for kind in "<>xo" for i in range(-1, m + 2)]
+            events += [Event("/", 0), Event("\\", 0)]
+            for window in itertools.product(events, repeat=length):
+                for move, undo in ((there, back), (back, there)):
+                    out = move(m, *window)
+                    if out is not None:
+                        applied += 1
+                        assert undo(m, *out) == list(window), (forward, m, window)
+        assert applied, forward
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_MOVE = re.compile(
+    r"\| (pseudo|alg) \| `([\w-]+)` \| `([^`]+)` → (?:`([^`]+)`|\(empty\)) \| (near|far|—) \|$")
+
+
+def test_readme_moves_table_matches_the_code():
+    """README's L-scheme moves table lists every rule of PSEUDO_RULES and
+    ALG_RULES, in order, with the pattern, replacement and relation of
+    its row in the code, the -rev rows swapped."""
+    rows = [m.groups() for line in README.read_text(encoding="utf-8").splitlines()
+            if (m := README_MOVE.match(line))]
+    assert [row[1] for row in rows] == [*PSEUDO_RULES, *ALG_RULES]
+    expected = [(family, rule, pattern, replacement or None, relation or "—")
+                for family, table in (("pseudo", lscheme._PSEUDO_TABLE),
+                                      ("alg", lscheme._ALG_TABLE))
+                for rule, pattern, replacement, relation in lscheme._rows(table)]
+    assert rows == expected
 
 
 def test_root_scheme_example():
