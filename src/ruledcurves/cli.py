@@ -22,127 +22,18 @@ from . import comb as combs
 from . import invariants as invs
 from . import lscheme as lschemes
 from . import schemes7
-from .laurent import LaurentError, format_poly, parse_poly
+from .laurent import format_poly, parse_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FIXTURE = 2
 EXIT_CONVENTION = 3
 
-_PARSE_ERRORS = (
-    LaurentError, braids.BraidError, lschemes.LSchemeError,
-    combs.CombError, schemes7.SchemeError, ValueError, OSError,
-)
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _cmd_braid(args) -> int:
-    if args.file:
-        with open(args.scheme) as fh:
-            lines = [line.strip() for line in fh]
-        schemes = [line for line in lines if line and not line.startswith("#")]
-    else:
-        schemes = [args.scheme]
-    outputs = [braids.render_braid(lschemes.to_braid(lschemes.parse_scheme(s)))
-               for s in schemes]
-    _emit(args, {"braids": outputs}, "\n".join(outputs))
-    return EXIT_OK
-
-
-def _cmd_invariants(args) -> int:
-    b = braids.parse_braid(args.braid)
-    alex = invs.alexander_polynomial(b)
-    det = invs._determinant(alex)
-    payload = {
-        "strands": b.strands,
-        "exponent_sum": braids.exponent_sum(b),
-        "alexander": format_poly(alex),
-        "determinant": det,
-    }
-    text = (f"strands: {payload['strands']}\n"
-            f"exponent sum: {payload['exponent_sum']}\n"
-            f"alexander: {payload['alexander']}\n"
-            f"determinant: {payload['determinant']}")
-    _emit(args, payload, text)
-    return EXIT_OK
-
-
-def _cmd_obstruct(args) -> int:
-    verdict = invs.quasipositivity_verdict(braids.parse_braid(args.braid))
-    lines = [f"status: {verdict.status}"]
-    for o in verdict.obstructions:
-        lines.append(f"obstruction {o.test}: e={o.exponent_sum} m={o.strands} witness={o.witness}")
-    if verdict.note:
-        lines.append(f"note: {verdict.note}")
-    _emit(args, asdict(verdict), "\n".join(lines))
-    return EXIT_OK
-
-
-def _cmd_rootscheme(args) -> int:
-    rs = lschemes.root_scheme(lschemes.parse_scheme(args.scheme))
-    payload = {"root_scheme": [[letter, mult] for letter, mult in rs]}
-    _emit(args, payload, lschemes.render_root_scheme(rs))
-    return EXIT_OK
-
-
-def _cmd_comb(args) -> int:
-    w = lschemes.weighted_comb(lschemes.parse_scheme(args.scheme))
-    text = combs.render_weighted_comb(w)
-    payload = {"comb": combs.render_comb(w.word),
-               "alpha": w.alpha, "beta": w.beta, "gamma": w.gamma}
-    _emit(args, payload, text)
-    return EXIT_OK
-
-
-def _cmd_mu(args) -> int:
-    w = combs.parse_weighted_comb(args.weighted_comb)
-    if args.mode == "exists":
-        result: int | bool = combs.mu_exists(w)
-    else:
-        result = combs.mu_count(w)
-    _emit(args, {"mode": args.mode, "result": result}, str(result).lower()
-          if isinstance(result, bool) else str(result))
-    return EXIT_OK
-
-
-def _cmd_rewrite(args) -> int:
-    ls = lschemes.parse_scheme(args.scheme)
-    if args.rules == "pseudo":
-        out = lschemes.rewrite_pseudo(ls, args.rule, args.position)
-    else:
-        out = lschemes.rewrite_alg(ls, args.rule, args.position)
-    text = lschemes.render_scheme(out)
-    _emit(args, {"scheme": text}, text)
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
-    code = schemes7.parse_real_scheme(args.scheme)
-    result = schemes7.realizable(code, args.category)
-    _emit(args, {"scheme": schemes7.render_real_scheme(code),
-                 "category": args.category, "realizable": result}, str(result).lower())
-    return EXIT_OK
-
-
-def _cmd_enumerate(args) -> int:
-    codes = schemes7.enumerate_schemes(args.category)
-    texts = [schemes7.render_real_scheme(c) for c in codes]
-    _emit(args, {"category": args.category, "count": len(texts), "schemes": texts},
-          "\n".join(texts))
-    return EXIT_OK
+# Every layer's error class subclasses ValueError.
+_PARSE_ERRORS = (ValueError, OSError)
 
 
 # -- reproduction harness -------------------------------------------------
-
-
-def _unescape(field: str) -> str:
-    return field.replace("\\|", "|")
 
 
 def load_registry(path: str | None = None) -> list[dict]:
@@ -156,7 +47,7 @@ def load_registry(path: str | None = None) -> list[dict]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [_unescape(p.strip()) for p in line.split(" | ")]
+        parts = [p.strip().replace("\\|", "|") for p in line.split(" | ")]
         if len(parts) != 5:
             raise ValueError(f"registry line {lineno}: expected 5 fields, got {len(parts)}")
         name, kind, input_text, expectation, provenance = parts
@@ -176,6 +67,8 @@ def _parse_expectation(expectation: str) -> list[tuple[str, str]]:
 
 
 def _bool(got: bool, value: str) -> tuple[bool, str]:
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
     return got == (value == "true"), str(got).lower()
 
 
@@ -188,8 +81,10 @@ def _text(got: str, value: str) -> tuple[bool, str]:
 
 
 def _fires(b: braids.BraidWord, value: str, fire: bool) -> tuple[bool, str]:
+    want = {name.strip() for name in value.split(",")}
+    if unknown := sorted(want - {"alex", "double_alex", "square"}):
+        raise ValueError(f"unknown obstruction test {unknown[0]!r}")
     fired = {o.test for o in invs.obstructions(b)}
-    want = set(value.split(","))
     return (want <= fired if fire else not want & fired), ",".join(sorted(fired)) or "none"
 
 
@@ -291,22 +186,125 @@ def run_repro(path: str | None = None) -> dict:
             "passed": len(results) - len(failed), "failed": len(failed)}
 
 
-def _cmd_repro(args) -> int:
+# -- commands -------------------------------------------------------------
+
+
+def _braids(args) -> tuple[dict, str]:
+    schemes = [args.scheme]
+    if args.file:
+        with open(args.scheme) as fh:
+            schemes = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    outputs = [braids.render_braid(lschemes.to_braid(lschemes.parse_scheme(s)))
+               for s in schemes]
+    return {"braids": outputs}, "\n".join(outputs)
+
+
+def _invariants(args) -> tuple[dict, str]:
+    b = braids.parse_braid(args.braid)
+    alex = invs.alexander_polynomial(b)
+    payload = {"strands": b.strands, "exponent_sum": braids.exponent_sum(b),
+               "alexander": format_poly(alex), "determinant": invs._determinant(alex)}
+    return payload, "\n".join(f"{k.replace('_', ' ')}: {v}" for k, v in payload.items())
+
+
+def _obstruct(args) -> tuple[dict, str]:
+    verdict = invs.quasipositivity_verdict(braids.parse_braid(args.braid))
+    lines = [f"status: {verdict.status}"]
+    lines += [f"obstruction {o.test}: e={o.exponent_sum} m={o.strands} witness={o.witness}"
+              for o in verdict.obstructions]
+    if verdict.note:
+        lines.append(f"note: {verdict.note}")
+    return asdict(verdict), "\n".join(lines)
+
+
+def _rootscheme(args) -> tuple[dict, str]:
+    rs = lschemes.root_scheme(lschemes.parse_scheme(args.scheme))
+    return ({"root_scheme": [[letter, mult] for letter, mult in rs]},
+            lschemes.render_root_scheme(rs))
+
+
+def _comb(args) -> tuple[dict, str]:
+    w = lschemes.weighted_comb(lschemes.parse_scheme(args.scheme))
+    return ({"comb": combs.render_comb(w.word), "alpha": w.alpha, "beta": w.beta,
+             "gamma": w.gamma}, combs.render_weighted_comb(w))
+
+
+def _mu(args) -> tuple[dict, str]:
+    result = getattr(combs, f"mu_{args.mode}")(combs.parse_weighted_comb(args.weighted_comb))
+    return {"mode": args.mode, "result": result}, str(result).lower()
+
+
+def _rewrite(args) -> tuple[dict, str]:
+    ls = lschemes.parse_scheme(args.scheme)
+    rewrite = getattr(lschemes, f"rewrite_{args.rules}")
+    text = lschemes.render_scheme(rewrite(ls, args.rule, args.position))
+    return {"scheme": text}, text
+
+
+def _classify(args) -> tuple[dict, str]:
+    code = schemes7.parse_real_scheme(args.scheme)
+    result = schemes7.realizable(code, args.category)
+    return ({"scheme": schemes7.render_real_scheme(code), "category": args.category,
+             "realizable": result}, str(result).lower())
+
+
+def _enumerate(args) -> tuple[dict, str]:
+    texts = [schemes7.render_real_scheme(c) for c in schemes7.enumerate_schemes(args.category)]
+    return {"category": args.category, "count": len(texts), "schemes": texts}, "\n".join(texts)
+
+
+def _repro(args) -> tuple[dict, str]:
     report = run_repro(args.registry)
-    if args.json:
-        # wall times vary run to run; json output stays byte-stable
-        stable = dict(report)
-        stable["fixtures"] = [{k: v for k, v in r.items() if k != "seconds"}
-                              for r in report["fixtures"]]
-        print(json.dumps(stable, sort_keys=True))
-    else:
-        for r in report["fixtures"]:
-            line = f"{r['status'].upper():4} {r['name']:24} ({r['seconds']:.3f}s)"
-            if r["failures"]:
-                line += "  " + "; ".join(r["failures"])
-            print(line)
-        print(f"{report['passed']}/{report['total']} fixtures passed")
-    return EXIT_OK if report["failed"] == 0 else EXIT_FIXTURE
+    lines = [f"{r['status'].upper():4} {r['name']:24} ({r['seconds']:.3f}s)"
+             + ("  " + "; ".join(r["failures"]) if r["failures"] else "")
+             for r in report["fixtures"]]
+    lines.append(f"{report['passed']}/{report['total']} fixtures passed")
+    # wall times vary run to run; json output stays byte-stable
+    stable = dict(report, fixtures=[{k: v for k, v in r.items() if k != "seconds"}
+                                    for r in report["fixtures"]])
+    return stable, "\n".join(lines)
+
+
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    return flags, kwargs
+
+
+_SCHEME = _arg("scheme")
+_CATEGORY = _arg("category", choices=schemes7.CATEGORIES)
+
+# command -> (help, arguments after --json, run(args) -> (json payload, text)).
+# The runs look package functions up on their modules at call time, so
+# wrappers installed after import see the calls.
+_COMMANDS = {
+    "braid": ("compile a scheme to its braid", [
+        _arg("scheme", help="scheme text, or a path with --file"),
+        _arg("--file", action="store_true", help="read schemes from a file, one per line"),
+    ], _braids),
+    "invariants": ("exponent sum, alexander polynomial, determinant", [
+        _arg("braid", help="braid text, e.g. 'strands=3; s2^-7 s1 s2 D^2'"),
+    ], _invariants),
+    "obstruct": ("run the quasipositivity obstruction suite", [_arg("braid")], _obstruct),
+    "rootscheme": ("root scheme of a trigonal scheme", [_SCHEME], _rootscheme),
+    "comb": ("weighted comb of a trigonal scheme", [_SCHEME], _comb),
+    "mu": ("chain multiplicity of a weighted comb", [
+        _arg("weighted_comb", help="e.g. 'g5 g2 | 2 1 1'"),
+        _arg("--mode", choices=("exists", "count"), default="exists"),
+    ], _mu),
+    "rewrite": ("apply one elementary move", [
+        _SCHEME,
+        _arg("--rules", choices=("pseudo", "alg"), required=True),
+        _arg("--rule", required=True, help=f"pseudo: {', '.join(lschemes.PSEUDO_RULES)};"
+             f" alg: {', '.join(lschemes.ALG_RULES)}"),
+        _arg("--position", type=int, required=True),
+    ], _rewrite),
+    "classify": ("is a real scheme realizable in a category", [
+        _arg("scheme", help="e.g. '<J + 4 + 1<8>>'"), _CATEGORY,
+    ], _classify),
+    "enumerate": ("all realizable schemes of a category", [_CATEGORY], _enumerate),
+    "repro": ("replay the reproduction fixture registry", [
+        _arg("--registry", help="alternate registry file"),
+    ], _repro),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,50 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ruledcurves",
         description="Braid and comb realizability tests for curves on ruled surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="structured output")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("braid", _cmd_braid, help="compile a scheme to its braid")
-    p.add_argument("scheme", help="scheme text, or a path with --file")
-    p.add_argument("--file", action="store_true", help="read schemes from a file, one per line")
-
-    p = add("invariants", _cmd_invariants, help="exponent sum, alexander polynomial, determinant")
-    p.add_argument("braid", help="braid text, e.g. 'strands=3; s2^-7 s1 s2 D^2'")
-
-    p = add("obstruct", _cmd_obstruct, help="run the quasipositivity obstruction suite")
-    p.add_argument("braid")
-
-    p = add("rootscheme", _cmd_rootscheme, help="root scheme of a trigonal scheme")
-    p.add_argument("scheme")
-
-    p = add("comb", _cmd_comb, help="weighted comb of a trigonal scheme")
-    p.add_argument("scheme")
-
-    p = add("mu", _cmd_mu, help="chain multiplicity of a weighted comb")
-    p.add_argument("weighted_comb", help="e.g. 'g5 g2 | 2 1 1'")
-    p.add_argument("--mode", choices=("exists", "count"), default="exists")
-
-    p = add("rewrite", _cmd_rewrite, help="apply one elementary move")
-    p.add_argument("scheme")
-    p.add_argument("--rules", choices=("pseudo", "alg"), required=True)
-    p.add_argument("--rule", required=True,
-                   help=f"pseudo: {', '.join(lschemes.PSEUDO_RULES)}; alg: {', '.join(lschemes.ALG_RULES)}")
-    p.add_argument("--position", type=int, required=True)
-
-    p = add("classify", _cmd_classify, help="is a real scheme realizable in a category")
-    p.add_argument("scheme", help="e.g. '<J + 4 + 1<8>>'")
-    p.add_argument("category", choices=schemes7.CATEGORIES)
-
-    p = add("enumerate", _cmd_enumerate, help="all realizable schemes of a category")
-    p.add_argument("category", choices=schemes7.CATEGORIES)
-
-    p = add("repro", _cmd_repro, help="replay the reproduction fixture registry")
-    p.add_argument("--registry", help="alternate registry file")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -368,13 +327,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        payload, text = _COMMANDS[args.command][2](args)
     except invs.ConventionError as exc:
         print(f"convention violation: {exc}", file=sys.stderr)
         return EXIT_CONVENTION
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
+    # only repro's payload counts failures
+    return EXIT_FIXTURE if payload.get("failed") else EXIT_OK
 
 
 if __name__ == "__main__":

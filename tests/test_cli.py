@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,37 @@ def test_classify_enumerate(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 121
+
+
+# command -> md5 of the stdout of its README example, in text and in
+# --json mode. Every example exits 0; in text mode `repro` drops its
+# per-fixture seconds, which vary run to run.
+README_OUTPUTS = {
+    "braid": ("6df390d00c49888d01eada858d4b4454", "b6626169cd947ed715b3fbaeb617c193"),
+    "invariants": ("b433f7d73d9a223ffc228ace34bd2ae1", "7c698ce5af5dbcd20ec1a96e4d9e3434"),
+    "obstruct": ("53f70a28753f9c8f24da5895083658a6", "11d09332adb3201cb316311942057bce"),
+    "rootscheme": ("03f96cd691da093af67ea76bc97e7993", "119e785b4b11195e54737ba0f38e56b3"),
+    "comb": ("dea37d8492e6fc22fff35961f977a0c0", "b656eb494dba3c729178ff37de58b4ee"),
+    "mu": ("897316929176464ebc9ad085f31e7284", "70bc6960297db7a6ac30bcce3396600c"),
+    "rewrite": ("e37a8a754b0864948b4078dd7dc0f059", "6fc264c9803f1aa5a3c64c5e6fe9d3cf"),
+    "classify": ("d42f2da1df5ecdf29be4ac27edda0c12", "7a2cb0405d108e263dae86de3bfb575c"),
+    "enumerate": ("a28899ccde904a26fcd52a069b428a65", "423b9e222ca0427ef520fe25a0da5e03"),
+    "repro": ("a094900fe6e3600e527a808f1933ed9b", "11b8a96f2444421952e984e5a5aa7b36"),
+}
+
+
+def test_readme_examples_keep_their_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert [argv[0] for argv in examples] == list(cli._COMMANDS) == list(README_OUTPUTS)
+    for argv in examples:
+        argv = [arg for arg in argv if arg != "--json"]
+        for mode, extra in enumerate(([], ["--json"])):
+            code, out, _ = run(capsys, *argv, *extra)
+            out = re.sub(r" \(\d+\.\d{3}s\)", "", out)
+            assert (code, hashlib.md5(out.encode()).hexdigest()) == \
+                (0, README_OUTPUTS[argv[0]][mode]), (argv, mode)
 
 
 def test_parse_error_exit_code(capsys):
@@ -264,23 +298,32 @@ GOOD_FIXTURE = "good | braid | strands=3; s2^-7 s1 s2 D^2 | det=10 | check"
 
 
 @pytest.mark.parametrize("line, failure", [
-    ("bad | knot | strands=3; s1 | e=1 | check", "unknown fixture kind 'knot'"),
+    ("bad | knot | strands=3; s1 | e=1 | check", "error: unknown fixture kind 'knot'"),
     ("bad | braid | strands=3; s1 | e=1 & colour=red | check",
-     "unknown braid assertion 'colour'"),
+     "error: unknown braid assertion 'colour'"),
     ("bad | lscheme | n=0 m=3; >1 <1 | colour=red | check",
-     "unknown lscheme assertion 'colour'"),
-    ("bad | comb | g5 g2 \\| 2 1 1 | colour=red | check", "unknown comb assertion 'colour'"),
+     "error: unknown lscheme assertion 'colour'"),
+    ("bad | comb | g5 g2 \\| 2 1 1 | colour=red | check", "error: unknown comb assertion 'colour'"),
     ("bad | scheme-query | <J + 4> :: any | colour=red | check",
-     "unknown scheme-query assertion 'colour'"),
-    ("bad | braid | strands=3; s1 | e | check", "bad expectation clause 'e'"),
-    ("bad | braid | strands=3; bogus | e=1 | check", "bad braid token 'bogus'"),
+     "error: unknown scheme-query assertion 'colour'"),
+    ("bad | braid | strands=3; s1 | e | check", "error: bad expectation clause 'e'"),
+    ("bad | braid | strands=3; bogus | e=1 | check", "error: bad braid token 'bogus'"),
     ("bad | lscheme | n=0 m=3; >9 | braid=strands=3; s1 | check",
-     "event 0 (>9): index out of range"),
-    ("bad | comb | g5 g2 \\| x | mu_count=0 | check", "expected three weights"),
+     "error: event 0 (>9): index out of range"),
+    ("bad | comb | g5 g2 \\| x | mu_count=0 | check", "error: expected three weights"),
     ("bad | scheme-query | <J + > :: any | realizable=true | check",
-     "expected an oval count at offset 5 in '<J + >'"),
+     "error: expected an oval count at offset 5 in '<J + >'"),
     ("bad | scheme-query | <J + 4> :: any | count=1 | check",
-     "count assertion needs an enumerate input, got '<J + 4>'"),
+     "error: count assertion needs an enumerate input, got '<J + 4>'"),
+    ("bad | braid | strands=3; s1 s2 | trivial=ture | check",
+     "error: expected true or false, got 'ture'"),
+    ("bad | comb | g5 g2 \\| 2 1 1 | closed=True | check",
+     "error: expected true or false, got 'True'"),
+    ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | not_fires=alx | check",
+     "error: unknown obstruction test 'alx'"),
+    # names are stripped, so alex is read and found to fire
+    ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | not_fires=square, alex | check",
+     "not_fires: expected square, alex, got alex"),
 ])
 def test_repro_refusals_fail_only_their_fixture(tmp_path, capsys, line, failure):
     path = tmp_path / "registry.txt"
@@ -291,7 +334,7 @@ def test_repro_refusals_fail_only_their_fixture(tmp_path, capsys, line, failure)
     assert (report["passed"], report["failed"]) == (1, 1)
     bad, good = report["fixtures"]
     assert good["status"] == "pass"
-    assert bad["failures"] == [f"error: {failure}"]
+    assert bad["failures"] == [failure]
 
 
 def test_registry_rejects_malformed_lines(tmp_path):
