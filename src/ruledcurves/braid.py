@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 Perm = tuple[int, ...]
 
@@ -28,19 +28,22 @@ class BraidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in B_m: ``letters[j] = ±i`` encodes sigma_i^±1, 1 <= i <= m-1."""
+class BraidWord(NamedTuple("_BraidWord", [("strands", int), ("letters", tuple[int, ...])])):
+    """A word in B_m: ``letters[j] = ±i`` encodes sigma_i^±1, 1 <= i <= m-1.
+    A named tuple, equal to the plain pair (strands, letters); len() is
+    the number of letters. The constructor, _make and _replace check the
+    letters."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.strands < 2:
+    def __new__(cls, strands: int, letters: tuple[int, ...]):
+        if strands < 2:
             raise BraidError("a braid group needs at least 2 strands")
-        for letter in self.letters:
-            if letter == 0 or not 1 <= abs(letter) <= self.strands - 1:
-                raise BraidError(f"letter {letter} out of range for {self.strands} strands")
+        for letter in letters:
+            if letter == 0 or not 1 <= abs(letter) <= strands - 1:
+                raise BraidError(f"letter {letter} out of range for {strands} strands")
+        return tuple.__new__(cls, (strands, letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -54,12 +57,13 @@ def identity(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 
 
+def delta_letters(strands: int) -> tuple[int, ...]:
+    """The letters of the half twist (s1 s2 ... s_{m-1})(s1 ... s_{m-2}) ... (s1 s2) s1."""
+    return tuple(i for block in range(strands - 1, 0, -1) for i in range(1, block + 1))
+
+
 def delta(strands: int) -> BraidWord:
-    """The half twist (s1 s2 ... s_{m-1})(s1 ... s_{m-2}) ... (s1 s2) s1."""
-    letters = []
-    for block in range(strands - 1, 0, -1):
-        letters.extend(range(1, block + 1))
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, delta_letters(strands))
 
 
 def delta_length(strands: int) -> int:
@@ -139,10 +143,10 @@ def _perm_word(p: Perm) -> tuple[int, ...]:
             return tuple(letters)
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(NamedTuple):
     """Left normal form Delta^inf A_1 ... A_k with left-weighted permutation
-    braid factors, none trivial and none the half twist."""
+    braid factors, none trivial and none the half twist. A named tuple,
+    equal to the plain triple (strands, infimum, factors)."""
 
     strands: int
     infimum: int

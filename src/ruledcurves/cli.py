@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
-from dataclasses import asdict
 from importlib import resources
 
 from . import braid as braids
@@ -73,6 +73,8 @@ def _bool(got: bool, value: str) -> tuple[bool, str]:
 
 
 def _int(got: int, value: str) -> tuple[bool, str]:
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise ValueError(f"expected a decimal integer, got {value!r}")
     return got == int(value), str(got)
 
 
@@ -214,7 +216,7 @@ def _obstruct(args) -> tuple[dict, str]:
               for o in verdict.obstructions]
     if verdict.note:
         lines.append(f"note: {verdict.note}")
-    return asdict(verdict), "\n".join(lines)
+    return verdict.payload(), "\n".join(lines)
 
 
 def _rootscheme(args) -> tuple[dict, str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import BraidWord, exponent_sum, is_trivial
 from .laurent import (
@@ -345,9 +345,9 @@ def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    """A fired quasipositivity obstruction, with a reproducible witness."""
+class Obstruction(NamedTuple):
+    """A fired quasipositivity obstruction, with a reproducible witness. A
+    named tuple, equal to the plain 4-tuple of its fields."""
 
     test: str
     strands: int
@@ -388,9 +388,9 @@ def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
     return tuple(fired)
 
 
-@dataclass(frozen=True)
-class QuasipositivityVerdict:
-    """Outcome of the obstruction suite on one braid word.
+class QuasipositivityVerdict(NamedTuple):
+    """Outcome of the obstruction suite on one braid word; a named tuple,
+    equal to the plain 5-tuple of its fields.
 
     status is one of "not_quasipositive", "quasipositive_certified",
     "unknown". Not-quasipositive verdicts carry every obstruction that
@@ -402,6 +402,11 @@ class QuasipositivityVerdict:
     exponent_sum: int
     obstructions: tuple[Obstruction, ...] = ()
     note: str = ""
+
+    def payload(self) -> dict:
+        """The verdict as ``obstruct --json`` prints it: a dict of its
+        fields, each obstruction a dict too."""
+        return dict(self._asdict(), obstructions=[o._asdict() for o in self.obstructions])
 
 
 def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:

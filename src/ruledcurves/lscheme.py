@@ -34,12 +34,11 @@ the replacement. The relation near asks |j-k| = 1, far |j-k| > 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .braid import (
-    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta, delta_length, free_reduce, parse_int,
+    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta_length, delta_letters, parse_int,
 )
 from .comb import WeightedComb
 
@@ -58,25 +57,29 @@ class Event(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
-class LScheme:
-    surface_index: int
-    strands: int
-    events: tuple[Event, ...]
-    _closed: bool = field(init=False, repr=False, compare=False)
+class LScheme(NamedTuple("_LScheme", [("surface_index", int), ("strands", int),
+                                      ("events", tuple[Event, ...]), ("closed", bool)])):
+    """A named tuple, equal to the plain 4-tuple (surface_index, strands,
+    events, closed). closed is computed from the events when the scheme
+    is built, so a value passed for it is ignored and two schemes are
+    equal exactly when their first three fields are. The constructor,
+    _make and _replace check the events."""
 
-    def __post_init__(self):
-        if self.surface_index < 0:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, surface_index: int, strands: int, events, closed: bool | None = None):
+        if surface_index < 0:
             raise LSchemeError("surface index must be nonnegative")
-        if self.strands < 2:
+        if strands < 2:
             raise LSchemeError("at least 2 strands are required")
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "_closed", _validate(self.strands, self.events))
+        events = tuple(events)
+        return tuple.__new__(cls, (surface_index, strands, events, _validate(strands, events)))
 
     def is_closed_scheme(self) -> bool:
         """Starts and ends at the full intersection count (meets the
         fiber at infinity in m distinct real points)."""
-        return self._closed
+        return self.closed
 
 
 def _tau(s: int, t: int) -> list[int]:
@@ -214,21 +217,25 @@ def render_scheme(ls: LScheme) -> str:
 def to_braid(ls: LScheme) -> BraidWord:
     """Compile to the associated braid: substitute every event by its
     braid letters at the running count, freely reduce, and append the
-    n-th power of the half twist."""
+    n-th power of the half twist. Free reduction is one stack pass, so
+    the letters are reduced as they are appended."""
     if not ls.is_closed_scheme():
         raise LSchemeError("braid compilation needs a closed scheme "
                            "(full intersection count at both ends)")
     m, n = ls.strands, ls.surface_index
-    letters: list[int] = []
+    stack: list[int] = []
     count = _FULL
     for ev in ls.events:
         row = _KINDS[ev.kind]
-        letters += row.letters(ev.index, m, count == _REDUCED)
+        for letter in row.letters(ev.index, m, count == _REDUCED):
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
         count = row.leaves or count
-    reduced = free_reduce(BraidWord(m, tuple(letters)))
-    if len(reduced.letters) + n * delta_length(m) > MAX_WORD_LENGTH:
+    if len(stack) + n * delta_length(m) > MAX_WORD_LENGTH:
         raise LSchemeError(f"braid word longer than {MAX_WORD_LENGTH} letters")
-    return BraidWord(m, reduced.letters + delta(m).letters * n)
+    return BraidWord(m, tuple(stack) + delta_letters(m) * n)
 
 
 # -- elementary rewriting moves -----------------------------------------

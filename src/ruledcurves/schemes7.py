@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -36,13 +35,15 @@ class SchemeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RealSchemeCode:
+class RealSchemeCode(NamedTuple):
+    """A named tuple, equal to the plain 1-tuple (ovals,)."""
+
     ovals: Forest
 
 
-@dataclass(frozen=True)
-class ComplexSchemeCode:
+class ComplexSchemeCode(NamedTuple):
+    """A named tuple, equal to the plain pair (ovals, type_tag)."""
+
     # type I: ovals with signs, (sign, children) at every level;
     # type II: the real forest, which carries no orientation
     ovals: tuple

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -335,3 +336,25 @@ def test_equals_against_faithful_representation():
         a, b = word(3, letters), word(3, other)
         assert equals(a, b)
         assert reduced_burau(a) == reduced_burau(b)
+
+
+def test_braid_word_is_a_validating_named_tuple():
+    b = BraidWord(3, (1,))
+    assert b == (3, (1,)) and hash(b) == hash((3, (1,)))
+    assert repr(b) == "BraidWord(strands=3, letters=(1,))"
+    assert len(b) == 1 and not BraidWord(3, ()) and b.strands == 3
+    assert BraidWord._make((4, (3,))) == b._replace(strands=4, letters=(3,)) == word(4, [3])
+    for strands, letters, message in ((3, (3,), "letter 3 out of range for 3 strands"),
+                                      (3, (0,), "letter 0 out of range for 3 strands"),
+                                      (3, (1, -3), "letter -3 out of range for 3 strands"),
+                                      (1, (), "a braid group needs at least 2 strands")):
+        for build in (lambda: BraidWord(strands, letters),
+                      lambda: BraidWord._make((strands, letters)),
+                      lambda: b._replace(strands=strands, letters=letters)):
+            with pytest.raises(BraidError, match=re.escape(message)):
+                build()
+    with pytest.raises(BraidError, match=re.escape("letter 2 out of range for 2 strands")):
+        BraidWord(3, (2, 1))._replace(strands=2)
+    for field in ("strands", "letters"):
+        with pytest.raises(AttributeError):
+            setattr(b, field, getattr(b, field))

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ruledcurves import cli
+from ruledcurves import braid as braids
+from ruledcurves import cli, schemes7
 from ruledcurves.invariants import ConventionError
 
 
@@ -223,6 +224,44 @@ def test_cli_import_does_not_load_numpy():
     assert {name.partition(".")[0] for name in added} <= {*sys.stdlib_module_names, "ruledcurves"}
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # The value types are named tuples; dataclasses would pull in inspect,
+    # ast, dis and tokenize and exec generated methods at every start-up.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import ruledcurves.cli, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_registry_answers_are_unchanged():
+    # is_trivial and equals on every registry braid, and realizable of
+    # every registry scheme in every category, pinned so that a change to
+    # the value types (their equality and hashing) cannot move them.
+    fixtures = cli.load_registry()
+    named = [(f["name"], braids.parse_braid(f["input"])) for f in fixtures if f["kind"] == "braid"]
+    assert len(named) == 42
+    assert [name for name, b in named if braids.is_trivial(b)] == ["b12", "b13"]
+    assert sorted((n1, n2) for i, (n1, a) in enumerate(named) for n2, b in named[i + 1:]
+                  if a.strands == b.strands and braids.equals(a, b)) == [
+        ("b12", "b13"), ("b1_0_6_0", "b19"), ("b1_3_3_0", "b5")]
+    # one digit per category, in schemes7.CATEGORIES order
+    assert schemes7.CATEGORIES == (
+        "any", "dividing", "non-dividing", "symmetric", "symmetric-dividing-pseudoholomorphic",
+        "symmetric-dividing-algebraic", "symmetric-non-dividing")
+    queries = {f["input"].partition(" :: ")[0] for f in fixtures
+               if f["kind"] == "scheme-query" and "<" in f["input"]}
+    assert {q: "".join("01"[schemes7.realizable(schemes7.parse_real_scheme(q), c)]
+                       for c in schemes7.CATEGORIES) for q in queries} == {
+        "<J + 2 + 1<10>>": "1111001", "<J + 4 + 1<4>>": "1111001",
+        "<J + 4 + 1<8>>": "1111101", "<J + 4 + 1<9>>": "1010000",
+        "<J + 5 + 1<9>>": "1100000", "<J + 6 + 1<6>>": "1111001",
+        "<J + 6 + 1<7>>": "1010000", "<J + 6 + 1<8>>": "1100000",
+        "<J + 7 + 1<6>>": "1010000", "<J + 7 + 1<7>>": "1100000",
+        "<J + 8 + 1<4>>": "1111101", "<J + 8 + 1<6>>": "1100000",
+    }
+
+
 def test_module_entry_point_matches_in_process_repro(capsys):
     # The benchmark runs the registry through `python -m ruledcurves.cli`.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -321,6 +360,10 @@ GOOD_FIXTURE = "good | braid | strands=3; s2^-7 s1 s2 D^2 | det=10 | check"
      "error: expected true or false, got 'True'"),
     ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | not_fires=alx | check",
      "error: unknown obstruction test 'alx'"),
+    ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | det=1_0 | check",
+     "error: expected a decimal integer, got '1_0'"),
+    ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | e=+1 | check",
+     "error: expected a decimal integer, got '+1'"),
     # names are stripped, so alex is read and found to fire
     ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | not_fires=square, alex | check",
      "not_fires: expected square, alex, got alex"),

@@ -1,10 +1,10 @@
 import itertools
+import json
 import math
 import random
 import re
 import time
 import tracemalloc
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -845,13 +845,16 @@ def test_burau_mod_p_against_evaluated_reduced_burau():
     assert off_diagonal >= 5  # a transposed entry would not go unseen
 
 
-def test_exponent_sum_reported():
-    b = parse_braid("strands=3; s2^-7 s1 s2 D^2")
-    v = quasipositivity_verdict(b)
+def test_exponent_sum_reported(capsys):
+    text = "strands=3; s2^-7 s1 s2 D^2"
+    v = quasipositivity_verdict(parse_braid(text))
     assert v.exponent_sum == 1 and v.strands == 3
-    payload = asdict(v)
+    payload = v.payload()
     assert payload["status"] == "not_quasipositive"
     assert payload["obstructions"][0]["test"] == "alex"
+    # the payload is what obstruct --json prints
+    assert cli.main(["obstruct", "--json", text]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_perfect_square_is_exact_at_any_size():

@@ -83,6 +83,32 @@ def test_direct_construction_refusals():
         LScheme(0, 1, ())
 
 
+def test_lscheme_is_a_validating_named_tuple():
+    ls = parse_scheme("n=0 m=3; >1 <1")
+    events = (Event(">", 1), Event("<", 1))
+    assert ls == (0, 3, events, True) and hash(ls) == hash((0, 3, events, True))
+    assert ls.is_closed_scheme() and ls.closed
+    # closed is computed from the events, never taken from the caller
+    assert LScheme(0, 3, events, False).closed
+    assert not ls._replace(events=events[:1]).is_closed_scheme()
+    assert LScheme._make((0, 3, [Event("x", 1)])) == parse_scheme("n=0 m=3; x1")
+    assert ls._replace(surface_index=2) == parse_scheme("n=2 m=3; >1 <1")
+    for fields, message in (((-1, 3, ()), "surface index must be nonnegative"),
+                            ((0, 1, ()), "at least 2 strands are required"),
+                            ((0, 3, (Event("z", 1),)), "event 0 (z1): unknown event kind 'z'"),
+                            ((0, 3, (Event("/", 2),)), "event 0 (/): divisor event index must be 0"),
+                            ((0, 3, (Event(">", 1), Event("<", 3))),
+                             "event 1 (<3): index out of range")):
+        changes = dict(zip(("surface_index", "strands", "events"), fields))
+        for build in (lambda: LScheme(*fields), lambda: LScheme._make(fields),
+                      lambda: ls._replace(**changes)):
+            with pytest.raises(LSchemeError, match=re.escape(message)):
+                build()
+    for field in ("surface_index", "strands", "events", "closed"):
+        with pytest.raises(AttributeError):
+            setattr(ls, field, getattr(ls, field))
+
+
 def test_header_numbers_are_capped():
     # The strand count and the Delta^n padding of to_braid are checked
     # from the header, before any event is expanded.
