@@ -32,15 +32,22 @@ class BraidWord(NamedTuple("_BraidWord", [("strands", int), ("letters", tuple[in
     """A word in B_m: ``letters[j] = ±i`` encodes sigma_i^±1, 1 <= i <= m-1.
     A named tuple, equal to the plain pair (strands, letters); len() is
     the number of letters. The constructor, _make and _replace check the
-    letters."""
+    fields: an int strand count, and a tuple of int letters in range."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, strands: int, letters: tuple[int, ...]):
+        # a bool or a float would pass the range checks, but no text writes it
+        if type(strands) is not int:
+            raise BraidError(f"strands must be an int, not {type(strands).__name__}")
         if strands < 2:
             raise BraidError("a braid group needs at least 2 strands")
+        if not isinstance(letters, tuple):
+            raise BraidError(f"letters must be a tuple, not {type(letters).__name__}")
         for letter in letters:
+            if type(letter) is not int:
+                raise BraidError(f"each letter must be an int, not {type(letter).__name__}")
             if letter == 0 or not 1 <= abs(letter) <= strands - 1:
                 raise BraidError(f"letter {letter} out of range for {strands} strands")
         return tuple.__new__(cls, (strands, letters))

@@ -347,7 +347,13 @@ def test_braid_word_is_a_validating_named_tuple():
     for strands, letters, message in ((3, (3,), "letter 3 out of range for 3 strands"),
                                       (3, (0,), "letter 0 out of range for 3 strands"),
                                       (3, (1, -3), "letter -3 out of range for 3 strands"),
-                                      (1, (), "a braid group needs at least 2 strands")):
+                                      (1, (), "a braid group needs at least 2 strands"),
+                                      # no text form writes these, so they are refused
+                                      (3.0, (1,), "strands must be an int, not float"),
+                                      (True, (), "strands must be an int, not bool"),
+                                      (3, (1.0,), "each letter must be an int, not float"),
+                                      (3, (1, True), "each letter must be an int, not bool"),
+                                      (3, [1], "letters must be a tuple, not list")):
         for build in (lambda: BraidWord(strands, letters),
                       lambda: BraidWord._make((strands, letters)),
                       lambda: b._replace(strands=strands, letters=letters)):

@@ -179,6 +179,16 @@ def test_constructor_checks():
     for weights in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
         with pytest.raises(CombError, match="nonnegative"):
             WeightedComb((1, 2), *weights)
+    # a list word would reach the searches unhashable, and a bool or float
+    # letter or weight would render as text that the parser refuses
+    for fields, message in ((([1, 2], 0, 0, 0), "a comb word must be a tuple, not list"),
+                            (((True, 2), 1, 0, 0), "each comb letter must be an int, not bool"),
+                            (((1.0, 2), 1, 0, 0), "each comb letter must be an int, not float"),
+                            (((1, 2), 1.0, 0, 0), "each weight must be an int, not float"),
+                            (((1, 2), 0, 0, False), "each weight must be an int, not bool")):
+        for build in (lambda: WeightedComb(*fields), lambda: WeightedComb._make(fields)):
+            with pytest.raises(CombError, match=message):
+                build()
     w = WeightedComb((5, 2), 2, 1, 1)
     assert w == ((5, 2), 2, 1, 1) and w.word == (5, 2) and w.gamma == 1
     assert w._replace(alpha=0) == ((5, 2), 0, 1, 1)
@@ -319,22 +329,33 @@ def _swapped(w, rng, swaps):
 
 
 def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
-    """The balance and parity laws prune no chain on combs of 16-26
-    letters: unwound closed combs (mu >= 1) and letter-swapped copies
-    (mostly mu = 0, where pruning does the work). The last comb passes
-    every balance law and only the parity law rejects it."""
+    """The balance, parity and g3/g4-erased laws prune no chain on combs
+    of 16-26 letters: unwound closed combs (mu >= 1) and letter-swapped
+    copies (mostly mu = 0, where pruning does the work). The last two
+    combs pass every balance law. Only the parity law rejects the first.
+    Only the erased law rejects the second: each of its two alpha sets
+    erases to g1 g5 g2 g6, which does not close, so no beta leaf (which
+    would hold a g4) is tried."""
     parity_only = parse_weighted_comb("g1 g3 g1 g4 g2 g4 | 1 0 0")
-    n = [parity_only.word.count(x) for x in range(7)]
-    # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
-    assert (n[1] - n[2], n[3] - n[4] + 1, n[5] - n[6]) == (1, 0, 0)
+    erased_only = parse_weighted_comb("g1 g1 g1 g5 g2 g6 | 2 1 0")
+    for w in (parity_only, erased_only):
+        n = [w.word.count(x) for x in range(7)]
+        # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
+        assert n[1] - n[2] == w.alpha and n[3] - n[4] + w.alpha == 2 * w.beta and n[5] == n[6]
     closes = comb._closes
-    leaves, expanded = [], []
-    monkeypatch.setattr(comb, "_closes", lambda word: leaves.append(word) or closes(word))
+    passes, expanded = [], []
+    monkeypatch.setattr(comb, "_closes", lambda word: passes.append(list(word)) or closes(word))
     monkeypatch.setattr(comb, "chain_successors",
                         lambda w: expanded.append(w) or chain_successors(w))
     assert mu_count(parity_only) == 0
-    assert leaves == []  # rejected before any leaf
+    assert passes == []  # rejected before any stack pass
     assert mu_count(parity_only, prune=False) == 0 and expanded == [parity_only]
+    passes.clear()
+    assert mu_count(erased_only) == 0
+    assert passes == [[1, 5, 2, 6]] * 2  # one pass per alpha set, on its erased word
+    passes.clear()
+    assert mu_count(erased_only, prune=False) == 0
+    assert len(passes) == 3 and all(4 in word for word in passes)  # the walk tries 3 leaves
     monkeypatch.undo()
     rng = random.Random(127)
     combs = []
@@ -342,7 +363,7 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
         w = _unwound_comb(rng, rng.randint(16, 26))
         assert mu_exists(w, prune=False)
         combs += [w, _swapped(w, rng, 1), _swapped(w, rng, 2)]
-    combs.append(parity_only)
+    combs += [parity_only, erased_only]
     counts = []
     for w in combs:
         count = mu_count(w, prune=False)
@@ -350,9 +371,52 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
         assert mu_count(w, prune=True) == count, w
         for p in (True, False):
             assert mu_exists(w, prune=p) == (count > 0), (w, p)
-    assert counts[-1] == 0
+    assert counts[-2:] == [0, 0]
     assert sum(c > 0 for c in counts) >= 40 and sum(c == 0 for c in counts) >= 20
     assert max(counts) > 1
+
+
+def test_closed_combs_close_with_g3_g4_erased():
+    """The law behind the pruned count's alpha-set cut. Closing is free
+    reduction to the identity, and erasing g3 and g4 is a homomorphism of
+    free groups, so every closed comb still closes with them erased. Here
+    on every closed comb of at most 8 letters, each built once or more as
+    x C x' C' from shorter closed combs C and C' (x' the partner of x)."""
+    closed = [{()}]
+    for n in range(1, 5):
+        closed.append({(x, *inner, _PARTNER[x], *outer)
+                       for k in range(n) for inner in closed[k] for outer in closed[n - 1 - k]
+                       for x in range(1, 7)})
+    words = set().union(*closed)
+    assert len(words) == 13735
+    for word in words:
+        assert find_closure(word) is not None
+        assert find_closure(tuple(x for x in word if x not in (3, 4))) is not None, word
+
+
+def test_erased_law_saves_leaf_stack_passes(monkeypatch):
+    """The g3/g4-erased law's saving, counted in stack passes rather than
+    time. On 15 seeded combs with beta >= 2 (five from _phase_unwound and
+    two letter-swapped copies of each), mu_exists then mu_count tried
+    9,397 leaves, by one stack pass each, before the law; with it they try
+    2,592 leaves and pass over 228 erased words, under a third as many
+    passes in all. Every leaf holds a g4 from its beta expansions and no
+    erased word does, so the letters tell the two kinds of pass apart."""
+    rng = random.Random(151)
+    combs = []
+    for _ in range(5):
+        w = _phase_unwound(rng)
+        combs += [w, _swapped(w, rng, 1), _swapped(w, rng, 2)]
+    closes = comb._closes
+    passes = []
+    monkeypatch.setattr(comb, "_closes", lambda word: passes.append(4 in word) or closes(word))
+    total = 0
+    for w in combs:
+        assert w.beta >= 2
+        mu_exists(w)
+        total += mu_count(w)
+    assert total == 7488
+    assert sum(passes) < 9397 and len(passes) < 9397 / 3
 
 
 def _root_laws(w):
@@ -379,8 +443,9 @@ def _root_laws(w):
 ]), ids=["d56", "d34", "d12", "parity"])
 def test_each_root_law_rejects_before_any_leaf(monkeypatch, law, text):
     """Each comb fails exactly one root law, and the pruned count rejects
-    it without a stack pass; a dropped law would let it try a leaf. The
-    y-range has no such comb: a skipped lower bound reaches no rewrite."""
+    it without a stack pass, on a leaf or on an erased word; a dropped law
+    would let it make one. The y-range has no such comb: a skipped lower
+    bound reaches no rewrite."""
     w = parse_weighted_comb(text)
     assert _root_laws(w) == [i != law for i in range(4)]
     closes = comb._closes
