@@ -38,17 +38,18 @@ class BraidWord(NamedTuple("_BraidWord", [("strands", int), ("letters", tuple[in
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, strands: int, letters: tuple[int, ...]):
-        # a bool or a float would pass the range checks, but no text writes it
+        # type tests inline, the helper only words the refusal: to_braid builds
+        # a word in every census op, and a call per field would slow it
         if type(strands) is not int:
-            raise BraidError(f"strands must be an int, not {type(strands).__name__}")
+            check_ints("strands", (strands,), BraidError)
         if strands < 2:
             raise BraidError("a braid group needs at least 2 strands")
         if not isinstance(letters, tuple):
             raise BraidError(f"letters must be a tuple, not {type(letters).__name__}")
         for letter in letters:
             if type(letter) is not int:
-                raise BraidError(f"each letter must be an int, not {type(letter).__name__}")
-            if letter == 0 or not 1 <= abs(letter) <= strands - 1:
+                check_ints("each letter", (letter,), BraidError)
+            if not 0 < abs(letter) < strands:
                 raise BraidError(f"letter {letter} out of range for {strands} strands")
         return tuple.__new__(cls, (strands, letters))
 
@@ -253,6 +254,8 @@ def equals(a: BraidWord, b: BraidWord) -> bool:
 
 
 # -- text form ---------------------------------------------------------
+# The rules every text grammar of the package shares: the caps, ASCII
+# numbers read by parse_int, and check_ints for the int fields.
 
 # The longest word a parser expands its text to: braid letters here,
 # scheme events in lscheme.parse_scheme and comb letters in
@@ -266,17 +269,31 @@ MAX_WORD_LENGTH = 100_000
 # "strands=64; s1" takes about 0.06 s.
 MAX_STRANDS = 64
 
+# The deepest nesting a parser accepts: parentheses in a polynomial,
+# groups in a comb, ovals in a real or complex scheme (J not counted;
+# degree 7 allows 3). Each parser says at its check why it needs a cap.
+MAX_DEPTH = 8
+
 
 def parse_int(digits: str, error: type[ValueError]) -> int:
-    """int(digits), or the parser's error where int() refuses that many digits."""
+    """int(digits) of an ASCII -?[0-9]+ match (int() alone takes any script's
+    digits), or the parser's error where int() refuses that many digits."""
     try:
         return int(digits)
     except ValueError as exc:
         raise error(f"number of {len(digits)} digits is too long") from exc
 
 
-_HEADER = re.compile(r"^\s*strands\s*=\s*(\d+)\s*;\s*")
-_TOKEN = re.compile(r"^(?:s(\d+)(?:\^(-?\d+))?|D(?:\^(-?\d+))?)$")
+def check_ints(what: str, values, error: type[ValueError]) -> None:
+    """Refuse a value that is not an int with error: a bool or a float
+    would pass the range checks, but no text writes it."""
+    for value in values:
+        if type(value) is not int:
+            raise error(f"{what} must be an int, not {type(value).__name__}")
+
+
+_HEADER = re.compile(r"^\s*strands\s*=\s*([0-9]+)\s*;\s*")
+_TOKEN = re.compile(r"^(?:s([0-9]+)|D)(?:\^(-?[0-9]+))?$")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -294,22 +311,18 @@ def parse_braid(text: str) -> BraidWord:
         tm = _TOKEN.match(token)
         if not tm:
             raise BraidError(f"bad braid token {token!r}")
-        if tm.group(1) is not None:
-            i = parse_int(tm.group(1), BraidError)
-            k = parse_int(tm.group(2), BraidError) if tm.group(2) is not None else 1
-            if not 1 <= i <= strands - 1:
-                raise BraidError(f"generator s{i} out of range for {strands} strands")
-            length = abs(k)
-        else:
-            k = parse_int(tm.group(3), BraidError) if tm.group(3) is not None else 1
-            length = abs(k) * delta_length(strands)
-        if len(letters) + length > MAX_WORD_LENGTH:
+        # a token is a unit word, s<i> or D, to a signed power
+        index, power = tm.groups()
+        i = parse_int(index, BraidError) if index else 0
+        k = parse_int(power, BraidError) if power else 1
+        if index and not 1 <= i <= strands - 1:
+            raise BraidError(f"generator s{i} out of range for {strands} strands")
+        unit = (i,) if index else delta_letters(strands)
+        if k < 0:
+            unit, k = tuple(-letter for letter in reversed(unit)), -k
+        if len(letters) + k * len(unit) > MAX_WORD_LENGTH:
             raise BraidError(f"braid word longer than {MAX_WORD_LENGTH} letters")
-        if tm.group(1) is not None:
-            letters.extend([i if k > 0 else -i] * abs(k))
-        elif k:
-            d = delta(strands)
-            letters.extend((d if k > 0 else inverse(d)).letters * abs(k))
+        letters.extend(unit * k)
     return BraidWord(strands, tuple(letters))
 
 

@@ -75,7 +75,7 @@ def _bool(got: bool, value: str) -> tuple[bool, str]:
 def _int(got: int, value: str) -> tuple[bool, str]:
     if not re.fullmatch(r"-?[0-9]+", value):
         raise ValueError(f"expected a decimal integer, got {value!r}")
-    return got == int(value), str(got)
+    return got == braids.parse_int(value, ValueError), str(got)
 
 
 def _text(got: str, value: str) -> tuple[bool, str]:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
-from .braid import MAX_WORD_LENGTH, parse_int
+from .braid import MAX_DEPTH, MAX_WORD_LENGTH, check_ints, parse_int
 
 Comb = tuple[int, ...]
 Matching = tuple[tuple[int, int], ...]
@@ -40,13 +40,6 @@ _LETTERS = frozenset(_PARTNER)
 
 class CombError(ValueError):
     pass
-
-
-def _check_ints(what: str, values: tuple) -> None:
-    """A bool or a float would pass the range checks, but no text writes it."""
-    for value in values:
-        if type(value) is not int:
-            raise CombError(f"{what} must be an int, not {type(value).__name__}")
 
 
 class WeightedComb(NamedTuple("_WeightedComb", [
@@ -61,10 +54,10 @@ class WeightedComb(NamedTuple("_WeightedComb", [
     def __new__(cls, word: Comb, alpha: int, beta: int, gamma: int):
         if not isinstance(word, tuple):
             raise CombError(f"a comb word must be a tuple, not {type(word).__name__}")
-        _check_ints("each comb letter", word)
+        check_ints("each comb letter", word, CombError)
         if not _LETTERS.issuperset(word):
             raise CombError("comb letters must be generators 1..6")
-        _check_ints("each weight", (alpha, beta, gamma))
+        check_ints("each weight", (alpha, beta, gamma), CombError)
         if alpha < 0 or beta < 0 or gamma < 0:
             raise CombError("weights must be nonnegative")
         return tuple.__new__(cls, (word, alpha, beta, gamma))
@@ -359,11 +352,7 @@ def algebraic_realizability_verdict(ls) -> bool:
 
 # Whitespace, an opening parenthesis, a closing ')^k', a letter, or one
 # character of anything else.
-_COMB_LEXEME = re.compile(r"(\s+)|(\()|\)\^(\d+)|g([1-6])|\S")
-# Deepest nesting of groups the parser accepts. Each group's letters are
-# copied into its parent when it closes, so the copying costs at most
-# MAX_COMB_DEPTH times the letters.
-MAX_COMB_DEPTH = 8
+_COMB_LEXEME = re.compile(r"(\s+)|(\()|\)\^([0-9]+)|g([1-6])|\S")
 
 
 def parse_comb(text: str) -> Comb:
@@ -371,7 +360,7 @@ def parse_comb(text: str) -> Comb:
     letters of the open groups on a stack. Before a group is expanded, the
     comb it would make, with the letters written after it counted once, is
     refused if longer than MAX_WORD_LENGTH letters; a group nested deeper
-    than MAX_COMB_DEPTH is refused at its '('. Letters must be apart:
+    than MAX_DEPTH is refused at its '('. Letters must be apart:
     whitespace or a group with k >= 1 parts them, an erased group ()^0
     does not, so 'g1g2' and 'g1(g2)^0g3' are refused unless erased."""
     if text.strip() == "1":
@@ -392,8 +381,9 @@ def parse_comb(text: str) -> Comb:
         elif space:
             adjacent = False
         elif group:
-            if len(stack) == MAX_COMB_DEPTH:
-                raise CombError(f"groups nested deeper than {MAX_COMB_DEPTH}")
+            # a closing group copies its letters into its parent: at most MAX_DEPTH copies
+            if len(stack) == MAX_DEPTH:
+                raise CombError(f"groups nested deeper than {MAX_DEPTH}")
             stack.append((letters, touching, adjacent, m.start()))
             letters, touching, adjacent = [], None, False
         elif power is None or not stack:
@@ -428,7 +418,8 @@ def parse_weighted_comb(text: str) -> WeightedComb:
     if len(weights) != 3:
         raise CombError("expected three weights")
     try:
-        a, b, g = (int(x) for x in weights)
+        # a weight not -?[0-9]+ ('+1', '1_0') drops out, and the unpacking fails
+        a, b, g = (parse_int(x, CombError) for x in weights if re.fullmatch("-?[0-9]+", x))
     except ValueError as exc:
         raise CombError(f"bad weights {weight_text!r}") from exc
     return WeightedComb(parse_comb(comb_text), a, b, g)

@@ -16,7 +16,8 @@ products of parenthesised factors with integer powers, e.g.
 (t-1)^3*(t^2+1), which keeps fixture files close to factored values. A
 product or power whose degree span would pass MAX_POLY_SPAN is refused
 before it is expanded, so a short text cannot ask for unbounded work, and
-parentheses nested deeper than MAX_POLY_DEPTH are refused as well.
+parentheses nested deeper than braid.MAX_DEPTH are refused as well.
+Integers and exponents are written in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 
-from .braid import parse_int
+from .braid import MAX_DEPTH, parse_int
 
 
 class LaurentError(ValueError):
@@ -34,9 +35,6 @@ class LaurentError(ValueError):
 # Widest degree span (highest minus lowest exponent) the parser expands a
 # product or power to; (t+1)^1024 expands in about 0.15 s.
 MAX_POLY_SPAN = 1024
-# Deepest nesting of parentheses the parser, which recurses once per
-# level, accepts.
-MAX_POLY_DEPTH = 8
 
 
 class LaurentPoly:
@@ -280,8 +278,8 @@ def has_simple_unit_circle_root(p: LaurentPoly) -> bool:
 # -- text form ---------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<pow>\^-?\d+)|(?P<mul>\*)"
-    r"|(?P<sign>[+-])|(?P<int>\d+)|(?P<t>t))"
+    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<pow>\^-?[0-9]+)|(?P<mul>\*)"
+    r"|(?P<sign>[+-])|(?P<int>[0-9]+)|(?P<t>t))"
 )
 
 
@@ -361,8 +359,8 @@ class _Parser:
         if kind == "lpar":
             self.take()
             self.depth += 1
-            if self.depth > MAX_POLY_DEPTH:
-                raise LaurentError(f"parentheses nested deeper than {MAX_POLY_DEPTH}")
+            if self.depth > MAX_DEPTH:  # the parser recurses once per level
+                raise LaurentError(f"parentheses nested deeper than {MAX_DEPTH}")
             inner = self.parse_expr()
             if self.peek() != "rpar":
                 raise LaurentError("unbalanced parentheses in polynomial")

@@ -38,7 +38,7 @@ from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .braid import (
-    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, delta_length, delta_letters, parse_int,
+    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, check_ints, delta_length, delta_letters, parse_int,
 )
 from .comb import WeightedComb
 
@@ -60,26 +60,26 @@ class Event(NamedTuple):
 class LScheme(NamedTuple("_LScheme", [("surface_index", int), ("strands", int),
                                       ("events", tuple[Event, ...]), ("closed", bool)])):
     """A named tuple, equal to the plain 4-tuple (surface_index, strands,
-    events, closed). closed is computed from the events when the scheme
-    is built, so a value passed for it is ignored and two schemes are
-    equal exactly when their first three fields are. The constructor,
-    _make and _replace check the events."""
+    events, closed). closed says whether the scheme starts and ends at the
+    full intersection count (meets the fiber at infinity in m distinct
+    real points); it is computed from the events when the scheme is
+    built, so a value passed for it is ignored and two schemes are equal
+    exactly when their first three fields are. The constructor, _make and
+    _replace check the fields: an int surface index and strand count, and
+    the events."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, surface_index: int, strands: int, events, closed: bool | None = None):
+        check_ints("surface index", (surface_index,), LSchemeError)
+        check_ints("strands", (strands,), LSchemeError)
         if surface_index < 0:
             raise LSchemeError("surface index must be nonnegative")
         if strands < 2:
             raise LSchemeError("at least 2 strands are required")
         events = tuple(events)
         return tuple.__new__(cls, (surface_index, strands, events, _validate(strands, events)))
-
-    def is_closed_scheme(self) -> bool:
-        """Starts and ends at the full intersection count (meets the
-        fiber at infinity in m distinct real points)."""
-        return self.closed
 
 
 def _tau(s: int, t: int) -> list[int]:
@@ -170,8 +170,8 @@ def _validate(m: int, events: tuple[Event, ...]) -> bool:
 
 # -- text form ---------------------------------------------------------
 
-_HEADER = re.compile(r"^\s*n\s*=\s*(\d+)\s+m\s*=\s*(\d+)\s*;\s*")
-_TOKEN = re.compile(r"^(?:([<>xo])(\d+)|(/|\\))(?:\^(\d+))?$")
+_HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s+m\s*=\s*([0-9]+)\s*;\s*")
+_TOKEN = re.compile(r"^(?:([<>xo])([0-9]+)|(/|\\))(?:\^([0-9]+))?$")
 
 
 def parse_scheme(text: str) -> LScheme:
@@ -219,7 +219,7 @@ def to_braid(ls: LScheme) -> BraidWord:
     braid letters at the running count, freely reduce, and append the
     n-th power of the half twist. Free reduction is one stack pass, so
     the letters are reduced as they are appended."""
-    if not ls.is_closed_scheme():
+    if not ls.closed:
         raise LSchemeError("braid compilation needs a closed scheme "
                            "(full intersection count at both ends)")
     m, n = ls.strands, ls.surface_index
@@ -349,7 +349,7 @@ def _r_encoding(ls: LScheme) -> list[Event]:
     >_k <_k, solitary double points become <_k >_k."""
     if ls.strands != 3:
         raise LSchemeError("root schemes and combs need a trigonal scheme (m = 3)")
-    if not ls.is_closed_scheme():
+    if not ls.closed:
         raise LSchemeError("trigonal encodings need a closed scheme")
     out: list[Event] = []
     for ev in ls.events:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .braid import MAX_WORD_LENGTH, parse_int
+from .braid import MAX_DEPTH, MAX_WORD_LENGTH, parse_int
 
 Forest = tuple  # recursively: tuple of ovals, each oval a Forest of children
 
@@ -65,18 +65,15 @@ def _canon(nodes) -> tuple:
 
 # -- text form ----------------------------------------------------------
 
-_ITEM = re.compile(r"(\d+)([pm]?)")
-# Deepest oval the parser accepts, J not counted; degree 7 allows 3. The
-# parser recurses once per level, so deeper text is refused, not parsed.
-MAX_NESTING = 8
+_ITEM = re.compile(r"([0-9]+)([pm]?)")
 
 
 class _SchemeParser:
-    """``<J + item + ...>``, where an item is a count, a p/m sign when the
-    scheme is signed, and an optional nested ``<item + ...>`` group. A
-    scheme of more than MAX_WORD_LENGTH ovals, nested copies included,
-    or with ovals nested deeper than MAX_NESTING, is refused before it is
-    built."""
+    """``<J + item + ...>``, where an item is a count in ASCII decimal
+    digits, a p/m sign when the scheme is signed, and an optional nested
+    ``<item + ...>`` group. A scheme of more than MAX_WORD_LENGTH ovals,
+    nested copies included, or with ovals nested deeper than MAX_DEPTH
+    (J not counted; degree 7 allows 3), is refused before it is built."""
 
     def __init__(self, text: str, signed: bool):
         self.text = text
@@ -114,8 +111,8 @@ class _SchemeParser:
     def group(self, after_item: bool, depth: int) -> tuple:
         """The '+'-separated items up to the closing '>', in canonical
         order, each an oval at the given depth."""
-        if depth > MAX_NESTING:
-            self.error(f"ovals nested deeper than {MAX_NESTING}")
+        if depth > MAX_DEPTH:  # the parser recurses once per level
+            self.error(f"ovals nested deeper than {MAX_DEPTH}")
         ovals = []
         while not self.accept(">"):
             if after_item:

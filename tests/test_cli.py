@@ -364,6 +364,8 @@ GOOD_FIXTURE = "good | braid | strands=3; s2^-7 s1 s2 D^2 | det=10 | check"
      "error: expected a decimal integer, got '1_0'"),
     ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | e=+1 | check",
      "error: expected a decimal integer, got '+1'"),
+    pytest.param("bad | braid | strands=3; s1 s2 | e=" + "9" * 5000 + " | check",
+                 "error: number of 5000 digits is too long", id="e=<5000 digits>"),
     # names are stripped, so alex is read and found to fire
     ("bad | braid | strands=3; s2^-7 s1 s2 D^2 | not_fires=square, alex | check",
      "not_fires: expected square, alex, got alex"),

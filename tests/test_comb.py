@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from ruledcurves import comb
-from ruledcurves.braid import MAX_WORD_LENGTH
+from ruledcurves.braid import MAX_DEPTH, MAX_WORD_LENGTH
 from ruledcurves.comb import (
     CombError,
     WeightedComb,
@@ -47,8 +47,12 @@ def test_parse_render():
         WeightedComb((1,), -1, 0, 0)
     with pytest.raises(CombError, match="generators 1..6"):
         WeightedComb((7,), 0, 0, 0)
-    with pytest.raises(CombError, match="bad weights"):
-        parse_weighted_comb("g1 g2 | a b c")
+    # int() alone would read '1_0' as 10 and '+1' as 1
+    for weights in ("a b c", "1_0 0 0", "+1 0 0", "0 0 " + "9" * 5000):
+        with pytest.raises(CombError, match="bad weights"):
+            parse_weighted_comb(f"g1 g2 | {weights}")
+    with pytest.raises(CombError, match="weights must be nonnegative"):
+        parse_weighted_comb("g1 g2 | -1 0 0")
 
 
 def test_parse_comb_groups_and_cap():
@@ -86,10 +90,11 @@ def test_parse_comb_is_one_pass():
 
 
 def test_parse_comb_caps_group_nesting():
-    # Each level copies its letters into its parent, so depth is capped at 8.
-    assert parse_comb("(" * 8 + "g1" + ")^2" * 8) == (1,) * 256
-    for text in ("(" * 9 + "g1" + ")^1" * 9, "(" * 570 + "(g1)^99000" + ")^1" * 570):
-        with pytest.raises(CombError, match="nested deeper than 8"):
+    # Each level copies its letters into its parent, so depth is capped.
+    assert parse_comb("(" * MAX_DEPTH + "g1" + ")^2" * MAX_DEPTH) == (1,) * 2 ** MAX_DEPTH
+    deeper = MAX_DEPTH + 1
+    for text in ("(" * deeper + "g1" + ")^1" * deeper, "(" * 570 + "(g1)^99000" + ")^1" * 570):
+        with pytest.raises(CombError, match=f"nested deeper than {MAX_DEPTH}"):
             parse_comb(text)
 
 

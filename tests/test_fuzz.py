@@ -1,9 +1,10 @@
 """Seeded fuzz of the text grammars, with no dependency beyond the
 standard library. Short random texts drawn from each grammar's alphabet,
 with deep nesting and huge numbers mixed in, must parse or raise the
-parser's declared error, each in bounded time. A one-line registry file
-must load or raise ValueError, and each of its fixtures must run to a
-pass or a fail without raising."""
+parser's declared error, each in bounded time. Every number slot of
+every grammar takes ASCII digits only. A one-line registry file must
+load or raise ValueError, and each of its fixtures must run to a pass
+or a fail without raising."""
 
 import random
 import time
@@ -106,13 +107,44 @@ def test_parsers_parse_or_raise_their_error(parser):
     assert slowest < 2.0
 
 
+# Every number slot of every grammar: (parser, text with the slot as {},
+# the ASCII digit that fills it). Each parser must refuse the digit's
+# Arabic-Indic twin, which int() and the regex \d would also read.
+NUMBER_SLOTS = {
+    "braid header": (parse_braid, "strands={}; s1", "3"),
+    "braid index": (parse_braid, "strands=3; s{}^2", "1"),
+    "braid power": (parse_braid, "strands=3; s1^-{}", "2"),
+    "half-twist power": (parse_braid, "strands=3; D^{}", "2"),
+    "scheme surface": (parse_scheme, "n={} m=3; >1 <1", "1"),
+    "scheme strands": (parse_scheme, "n=0 m={}; >1 <1", "3"),
+    "scheme index": (parse_scheme, "n=0 m=3; >{} <1", "1"),
+    "scheme count": (parse_scheme, "n=0 m=3; x1^{}", "2"),
+    "comb power": (parse_comb, "(g1 g2)^{}", "2"),
+    "comb weight": (parse_weighted_comb, "g1 g2 | 0 {} 0", "1"),
+    "real oval count": (parse_real_scheme, "<J + {}<1>>", "4"),
+    "complex oval count": (parse_complex_scheme, "<J + {}p>:I", "1"),
+    "poly integer": (parse_poly, "{}*t - 1", "2"),
+    "poly factor power": (parse_poly, "(t - 1)^{}", "2"),
+    "poly monomial power": (parse_poly, "t^-{} + 1", "2"),
+}
+
+
+@pytest.mark.parametrize("slot", list(NUMBER_SLOTS))
+def test_numbers_are_ascii_digits(slot):
+    parser, template, digit = NUMBER_SLOTS[slot]
+    parser(template.format(digit))
+    with pytest.raises(PARSERS[parser][0]):
+        parser(template.format(chr(0x660 + int(digit))))
+
+
 # The six event kinds, kind strings that are not one (empty, two kinds
 # glued together, a letter outside the alphabet) and kinds that are not
 # strings (a list, which cannot be hashed, None and an int).
 EVENT_KINDS = (">", "<", "x", "o", "/", "\\", "", "/\\", "<o", "z", "xo", ["x"], None, 1)
 
 
-# Index types: the int a text holds, and a float and a bool that equal one.
+# Index and header types: the int a text holds, and a float and a bool that
+# equal one.
 INDEX_TYPES = (int, int, int, float, bool)
 
 # What an event is built as: mostly an Event, else a plain tuple or the
@@ -124,8 +156,9 @@ EVENT_FORMS = (Event, Event, Event, Event, Event, Event, lambda kind, index: (ki
 def test_direct_construction_builds_only_what_the_text_form_writes():
     """An LScheme built from events, not parsed, is accepted or refused
     with LSchemeError, also when an event is not an Event or its kind is
-    not a string; an accepted one, also from a list of events, is
-    hashable and renders to a text that parses back to it."""
+    not a string, or n or m is not an int; an accepted one, also from a
+    list of events, is hashable and renders to a text that parses back
+    to it."""
     rng = random.Random("fuzz:LScheme")
     accepted = 0
     for _ in range(3000):
@@ -134,7 +167,8 @@ def test_direct_construction_builds_only_what_the_text_form_writes():
                                           rng.choice(INDEX_TYPES)(rng.randint(0, m)))
                   for _ in range(rng.randint(0, 6))]
         try:
-            ls = LScheme(rng.randint(0, 3), m, rng.choice((tuple, list))(events))
+            ls = LScheme(rng.choice(INDEX_TYPES)(rng.randint(0, 3)), rng.choice(INDEX_TYPES)(m),
+                         rng.choice((tuple, list))(events))
         except LSchemeError:
             continue
         accepted += 1

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from ruledcurves.braid import word
+from ruledcurves.braid import MAX_DEPTH, word
 from ruledcurves.invariants import alexander_polynomial
 from ruledcurves.laurent import (
-    MAX_POLY_DEPTH,
     MAX_POLY_SPAN,
     LaurentError,
     LaurentPoly,
@@ -319,8 +318,8 @@ def test_parse_refuses_wide_powers_and_products():
 def test_nesting_beyond_the_cap_is_refused():
     # The parser recurses once per parenthesis: 1,500 levels would pass
     # the interpreter's recursion limit, so they are refused at the cap.
-    for depth in (MAX_POLY_DEPTH + 1, 1500):
-        with pytest.raises(LaurentError, match=f"deeper than {MAX_POLY_DEPTH}"):
+    for depth in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(LaurentError, match=f"deeper than {MAX_DEPTH}"):
             P("(" * depth + "t - 1" + ")" * depth)
-    assert P("(" * MAX_POLY_DEPTH + "t - 1" + ")" * MAX_POLY_DEPTH) == P("t - 1")
+    assert P("(" * MAX_DEPTH + "t - 1" + ")" * MAX_DEPTH) == P("t - 1")
     assert P("((t - 1)^2*(t + 1))^2") == P("(t^2 - 1)^2*(t - 1)^2")

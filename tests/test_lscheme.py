@@ -87,13 +87,17 @@ def test_lscheme_is_a_validating_named_tuple():
     ls = parse_scheme("n=0 m=3; >1 <1")
     events = (Event(">", 1), Event("<", 1))
     assert ls == (0, 3, events, True) and hash(ls) == hash((0, 3, events, True))
-    assert ls.is_closed_scheme() and ls.closed
+    assert ls.closed
     # closed is computed from the events, never taken from the caller
     assert LScheme(0, 3, events, False).closed
-    assert not ls._replace(events=events[:1]).is_closed_scheme()
+    assert not ls._replace(events=events[:1]).closed
     assert LScheme._make((0, 3, [Event("x", 1)])) == parse_scheme("n=0 m=3; x1")
     assert ls._replace(surface_index=2) == parse_scheme("n=2 m=3; >1 <1")
+    # a float or bool n or m would render as 'n=1.0' or 'm=3.0', which no text parses back
     for fields, message in (((-1, 3, ()), "surface index must be nonnegative"),
+                            ((1.0, 3, ()), "surface index must be an int, not float"),
+                            ((True, 3, ()), "surface index must be an int, not bool"),
+                            ((0, 3.0, ()), "strands must be an int, not float"),
                             ((0, 1, ()), "at least 2 strands are required"),
                             ((0, 3, (Event("z", 1),)), "event 0 (z1): unknown event kind 'z'"),
                             ((0, 3, (Event("/", 2),)), "event 0 (/): divisor event index must be 0"),

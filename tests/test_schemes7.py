@@ -4,10 +4,9 @@ from collections import Counter
 
 import pytest
 
-from ruledcurves.braid import MAX_WORD_LENGTH
+from ruledcurves.braid import MAX_DEPTH, MAX_WORD_LENGTH
 from ruledcurves.schemes7 import (
     CATEGORIES,
-    MAX_NESTING,
     SchemeError,
     enumerate_schemes,
     exclusion,
@@ -240,12 +239,12 @@ def nested(depth, sign=""):
 def test_nesting_beyond_the_cap_is_refused():
     # The parser recurses once per level: 1,500 levels would pass the
     # interpreter's recursion limit, so they are refused at the cap.
-    for depth in (MAX_NESTING + 1, 1500):
-        with pytest.raises(SchemeError, match=f"deeper than {MAX_NESTING}"):
+    for depth in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(SchemeError, match=f"deeper than {MAX_DEPTH}"):
             R(nested(depth))
-        with pytest.raises(SchemeError, match=f"deeper than {MAX_NESTING}"):
+        with pytest.raises(SchemeError, match=f"deeper than {MAX_DEPTH}"):
             parse_complex_scheme(nested(depth, "p") + ":I")
-    assert render_real_scheme(R(nested(MAX_NESTING))) == nested(MAX_NESTING)
+    assert render_real_scheme(R(nested(MAX_DEPTH))) == nested(MAX_DEPTH)
     assert render_real_scheme(R(nested(3))) == "<J + 1<1<1>>>"
 
 
