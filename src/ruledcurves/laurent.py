@@ -179,23 +179,26 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
-    """A gcd over the rationals of a and b, not both zero, by the primitive
-    pseudo-remainder sequence; primitive up to its sign."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _dense_primitive(_pseudo_remainder(a, b))
-    return _dense_primitive(a)
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b and the primitive parts of the negated pseudo-remainders that
+    follow, for deg a >= deg b and b nonzero: the Sturm chain of a when b
+    is a'. It ends at a constant, whose remainders are all zero, or before
+    a zero remainder; either way its last entry is gcd(a, b) up to a
+    constant factor."""
+    chain = [a, b]
+    while len(chain[-1]) > 1 and (r := _pseudo_remainder(chain[-2], chain[-1])):
+        chain.append([-c for c in _dense_primitive(r)])
+    return chain
 
 
 def gcd_primitive(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd over the rationals, returned as a primitive integer polynomial
-    with positive leading coefficient. Computed by the primitive
-    pseudo-remainder sequence, stripping content at each step."""
+    with positive leading coefficient: the primitive part of the last
+    entry of the remainder chain."""
     if not p and not q:
         raise LaurentError("gcd of two zero polynomials")
-    g = _dense_gcd(_dense(p)[1], _dense(q)[1])
+    a, b = sorted((_dense(p)[1], _dense(q)[1]), key=len, reverse=True)
+    g = _dense_primitive(_remainder_chain(a, b)[-1] if b else a)
     return LaurentPoly({e: -c if g[-1] < 0 else c for e, c in enumerate(g)})
 
 
@@ -230,14 +233,8 @@ def _sign_at(a: list[int], x: int) -> int:
 
 def _sturm_count(h: list[int], lo: int, hi: int) -> tuple[int, list[int]]:
     """Distinct real roots of h in (lo, hi), neither end a root, and
-    gcd(h, h') up to a constant: the last element of the Sturm chain
-    h, h', -rem(...), built from primitive pseudo-remainders."""
-    chain = [h, [i * c for i, c in enumerate(h)][1:]]
-    while len(chain[-1]) > 1:
-        r = _pseudo_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in _dense_primitive(r)])
+    gcd(h, h') up to a constant: the last entry of the Sturm chain."""
+    chain = _remainder_chain(h, [i * c for i, c in enumerate(h)][1:])
     count = 0
     for x, sign in ((lo, 1), (hi, -1)):
         signs = [s for s in (_sign_at(a, x) for a in chain) if s]
@@ -267,7 +264,7 @@ def has_simple_unit_circle_root(p: LaurentPoly) -> bool:
         if mult == 1:
             return True
     if q != q[::-1]:
-        q = _dense_gcd(q, q[::-1])
+        q = _remainder_chain(q, q[::-1])[-1]
     if len(q) == 1:
         return False
     distinct, g = _sturm_count(_dense_primitive(_half_degree(q)), -2, 2)

@@ -8,23 +8,20 @@ J, four empty ovals, and an oval with eight empty ovals inside. Complex
 schemes of type I add a p/m sign per oval and a trailing ``:I`` tag;
 type II schemes carry no signs and a trailing ``:II`` tag.
 
-A category is decided by named laws (``_LAWS``): Harnack's bound and
-Bezout's line bound for every curve; Klein's parity and the
-Rokhlin-Mishachev complex orientation formula for dividing curves; for
-non-dividing curves, that M-curves and curves with a nest of depth 3
-are dividing (Klein, Rokhlin). What these laws do not derive is cited
-from the source in data/schemes7.json: nests that its lists exclude by
-finer arguments, and the symmetric prohibitions of its main theorems.
-``exclusion`` names the law or citation that excludes a scheme.
+A category is one row of ``_TABLE``: its bases, its named laws and the
+nests it cites. The laws are Harnack's and Bezout's bounds for every
+curve; Klein's parity and the Rokhlin-Mishachev complex orientation
+formula for dividing curves; for non-dividing curves, that M-curves and
+nests of depth 3 are dividing (Klein, Rokhlin). The source's nests that
+these laws do not derive, its finer exclusions and the symmetric
+prohibitions of its main theorems, are cited once each, in the row of
+the theorem that proves them. ``exclusion`` names the law or the row.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
-from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from .braid import MAX_DEPTH, MAX_WORD_LENGTH, parse_int
@@ -184,16 +181,20 @@ def render_complex_scheme(code: ComplexSchemeCode) -> str:
 
 HARNACK = 15  # ovals besides J: at most the genus (7-1)(7-2)/2
 K = 3  # the degree is 2k + 1
-_DEEP_NESTS = ("<J + 1<1<1>>>", "<J + 1 + 1<1<1>>>")
 
 
-@lru_cache(maxsize=1)
-def _load_data() -> dict:
-    with resources.files("ruledcurves").joinpath("data/schemes7.json").open() as fh:
-        return json.load(fh)
+def _nest(outer: int, inner: int) -> Forest:
+    return (((),) * inner,) + ((),) * outer
 
 
-CATEGORIES = tuple(_load_data()["categories"])
+_DEEP_NESTS = ((_nest(0, 1),), (_nest(0, 1), ()))  # <J + 1<1<1>>>, <J + 1 + 1<1<1>>>
+
+# main theorem 2: the complex schemes of nonsingular symmetric M-curves
+_SYMMETRIC_M_COMPLEX_SCHEMES = (
+    "<J + 9p + 6m>:I", "<J + 4p + 6m + 1m<3p + 1m>>:I", "<J + 2m + 1m<7p + 5m>>:I",
+    "<J + 7p + 6m + 1m<1p>>:I", "<J + 5p + 4m + 1m<3p + 2m>>:I", "<J + 1p + 1m<7p + 6m>>:I",
+    "<J + 5p + 7m + 1m<2p>>:I", "<J + 1p + 3m + 1m<6p + 4m>>:I",
+    "<J + 6p + 5m + 1p<1p + 2m>>:I", "<J + 2p + 1m + 1p<5p + 6m>>:I")
 
 
 class _Scheme(NamedTuple):
@@ -229,50 +230,65 @@ def _orientation_sums(forest, above: int = 0) -> set[int]:
     return sums
 
 
-# block -> its laws, (name, holds(scheme)). A category applies the laws
-# of every block on its base chain, root first.
-_LAWS = {
-    "any": (
+# category -> (bases, laws (name, holds(scheme)), cited nests (a, b) =
+# <J + a + 1<b>>). A category applies its bases' rows, each once and root
+# first, then its own; each nest is cited by one row.
+_TABLE = {
+    # The source's degree-7 list omits <J + 1<14>>, which passes every law.
+    "any": ((), (
         ("Harnack", lambda s: s.ovals <= HARNACK),
         # a line through two innermost ovals crosses J and the ovals around them
         ("Bezout", lambda s: 2 * s.line + 1 <= 2 * K + 1),
-    ),
-    "dividing": (
+    ), ((0, 14),)),
+    # The source's dividing list omits <J + 1<6>> and <J + 1<8>>, which pass
+    # every law, and prints <J + 1 + 1<1<1>>>, which Bezout excludes (a line
+    # through its innermost and extra ovals meets the curve 9 > 7 times);
+    # the laws admit the hyperbolic <J + 1<1<1>>> in its place.
+    "dividing": (("any",), (
         # Klein: a dividing curve of genus g has g + 1 - 2j components
         ("type-I parity", lambda s: (HARNACK - s.ovals) % 2 == 0),
         # Rokhlin-Mishachev, for some orientation of the curve
         ("complex orientation", lambda s: s.ovals - K * (K + 1) in _orientation_sums(s.forest)),
-    ),
-    "non-dividing": (
+    ), ((0, 6), (0, 8))),
+    "non-dividing": (("any",), (
         # Klein: M-curves are dividing; Rokhlin: so are nests of depth k
         ("type II", lambda s: s.ovals < HARNACK and s.depth < K),
-    ),
+    ), ()),
+    # main theorem 1: seven nests no symmetric curve has
+    "symmetric": (("any",), (), ((8, 6), (7, 7), (6, 8), (5, 9), (7, 6), (6, 7), (4, 9))),
+    # theorem 3: three more for dividing pseudoholomorphic curves
+    "symmetric-dividing-pseudoholomorphic": (("dividing", "symmetric"), (),
+                                             ((2, 10), (6, 6), (4, 4))),
+    # theorem 4: two more for dividing algebraic curves
+    "symmetric-dividing-algebraic": (("symmetric-dividing-pseudoholomorphic",), (),
+                                     ((8, 4), (4, 8))),
+    "symmetric-non-dividing": (("non-dividing", "symmetric"), (), ()),
 }
 
+CATEGORIES = tuple(_TABLE)
 
-def _nest(outer: int, inner: int) -> Forest:
-    return (((),) * inner,) + ((),) * outer
+
+def _rows(category: str) -> list[str]:
+    """The rows a category applies: its bases' rows, each once, then its own."""
+    rows = []
+    for base in _TABLE[category][0]:
+        rows += [row for row in _rows(base) if row not in rows]
+    return rows + [category]
 
 
 def _rules(category: str) -> tuple[list, dict]:
-    """The laws of a category, root block first, and its cited nests."""
-    blocks = _load_data()["categories"]
-    if category not in blocks:
+    """The laws of a category, root row first, and its cited nests."""
+    if category not in _TABLE:
         raise SchemeError(f"unknown category {category!r}; one of {', '.join(CATEGORIES)}")
-    laws, cited, name = [], {}, category
-    while name:
-        laws[:0] = _LAWS.get(name, ())
-        cited.update((_nest(a, b), f"cited: {name}")
-                     for a, b in blocks[name].get("remove_nests", ()))
-        name = blocks[name].get("base")
-    return laws, cited
+    rows = _rows(category)
+    return ([law for row in rows for law in _TABLE[row][1]],
+            {_nest(a, b): f"cited: {row}" for row in rows for a, b in _TABLE[row][2]})
 
 
 def _exclusion(code: RealSchemeCode, laws: list, cited: dict) -> str | None:
     forest = code.ovals
     nonempty = len(forest) - forest.count(())
-    if nonempty > 1 or (nonempty and any(max(forest))
-                        and render_real_scheme(code) not in _DEEP_NESTS):
+    if forest not in _DEEP_NESTS and (nonempty > 1 or nonempty and any(max(forest))):
         raise SchemeError(f"scheme {render_real_scheme(code)} is outside the degree-7 grammar")
     scheme = _Scheme(forest, *_measure(forest))
     return next((name for name, holds in laws if not holds(scheme)), cited.get(forest))
@@ -280,8 +296,8 @@ def _exclusion(code: RealSchemeCode, laws: list, cited: dict) -> str | None:
 
 def exclusion(code: RealSchemeCode, category: str) -> str | None:
     """The first law of the category that the scheme fails, or else the
-    citation that removes it; None when it is realizable. Schemes other
-    than <J + a>, <J + a + 1<b>> and _DEEP_NESTS raise SchemeError."""
+    row that cites it; None when it is realizable. Schemes other than
+    <J + a>, <J + a + 1<b>> and _DEEP_NESTS raise SchemeError."""
     return _exclusion(code, *_rules(category))
 
 
@@ -296,11 +312,10 @@ def enumerate_schemes(category: str) -> list[RealSchemeCode]:
     candidates = [RealSchemeCode(((),) * a) for a in range(HARNACK + 1)]
     candidates += [RealSchemeCode(_nest(a, b))
                    for a in range(HARNACK) for b in range(1, HARNACK - a)]
-    candidates += map(parse_real_scheme, _DEEP_NESTS)
+    candidates += map(RealSchemeCode, _DEEP_NESTS)
     return [code for code in candidates if _exclusion(code, laws, cited) is None]
 
 
 def symmetric_m_complex_schemes() -> list[ComplexSchemeCode]:
     """The complex schemes of nonsingular symmetric M-curves of degree 7."""
-    return list(map(parse_complex_scheme, _load_data()["symmetric_m_complex_schemes"]))
-
+    return list(map(parse_complex_scheme, _SYMMETRIC_M_COMPLEX_SCHEMES))

@@ -1,7 +1,9 @@
 """Seeded fuzz of the text grammars, with no dependency beyond the
 standard library. Short random texts drawn from each grammar's alphabet,
 with deep nesting and huge numbers mixed in, must parse or raise the
-parser's declared error, each in bounded time. Every number slot of
+parser's declared error, each in bounded time. Oval schemes are also
+drawn from their grammar itself, so that most of them parse and the
+accepting path is exercised. Every number slot of
 every grammar takes ASCII digits only. A one-line registry file must
 load or raise ValueError, and each of its fixtures must run to a pass
 or a fail without raising."""
@@ -12,11 +14,17 @@ import time
 import pytest
 
 from ruledcurves import cli
-from ruledcurves.braid import BraidError, parse_braid
+from ruledcurves.braid import MAX_DEPTH, BraidError, parse_braid
 from ruledcurves.comb import CombError, parse_comb, parse_weighted_comb
 from ruledcurves.laurent import LaurentError, parse_poly
 from ruledcurves.lscheme import Event, LScheme, LSchemeError, parse_scheme, render_scheme
-from ruledcurves.schemes7 import SchemeError, parse_complex_scheme, parse_real_scheme
+from ruledcurves.schemes7 import (
+    SchemeError,
+    parse_complex_scheme,
+    parse_real_scheme,
+    render_complex_scheme,
+    render_real_scheme,
+)
 
 # Numbers a text may hold: small ones, the edges of the caps, and huge
 # ones, up to past the 4,300 digits that int() converts from a string.
@@ -105,6 +113,58 @@ def test_parsers_parse_or_raise_their_error(parser):
     rng = random.Random(f"fuzz:{parser.__name__}")
     slowest = max(outcome(parser, error, generate(rng, any_number)) for _ in range(1500))
     assert slowest < 2.0
+
+
+def oval_items(rng, number, signed, depth=1):
+    """The items of one nesting level, drawn from the oval grammar: a
+    count, a p/m sign when signed and, now and then, a nested group, one
+    level past the nesting cap at most."""
+    items = []
+    for _ in range(rng.randint(0 if depth > 1 else 1, 4)):
+        item = number(rng) + (rng.choice("pm") if signed else "")
+        if depth <= MAX_DEPTH and rng.random() < 0.35:
+            item += f"<{oval_items(rng, number, signed, depth + 1)}>"
+        items.append(item)
+    return rng.choice((" + ", "+", "  +\t")).join(items)
+
+
+def oval_scheme_text(rng, number, tag):
+    """A real scheme (tag None) or a complex one of type I or II."""
+    items = oval_items(rng, number, signed=(tag == "I")) if rng.random() < 0.95 else ""
+    text = f"<J + {items}>" if items else "<J>"
+    return text if tag is None else f"{text}:{tag}"
+
+
+def small_count(rng):
+    return str(rng.randint(0, 6))
+
+
+# parser -> (renderer, the tags it reads)
+OVAL_PARSERS = {
+    parse_real_scheme: (render_real_scheme, (None,)),
+    parse_complex_scheme: (render_complex_scheme, ("I", "II")),
+}
+
+
+@pytest.mark.parametrize("parser", list(OVAL_PARSERS), ids=lambda p: p.__name__)
+def test_oval_schemes_drawn_from_the_grammar_parse(parser):
+    """Texts drawn from the oval grammar itself, counts mostly small and
+    now and then at a cap edge or huge: at least 80% parse (on this seed
+    89% real, 88% complex), each parsed code renders to a text that parses
+    back to it, and the rest raise SchemeError."""
+    render, tags = OVAL_PARSERS[parser]
+    rng = random.Random(f"fuzz-grammar:{parser.__name__}")
+    parsed = 0
+    for _ in range(1500):
+        number = any_number if rng.random() < 0.15 else small_count
+        text = oval_scheme_text(rng, number, rng.choice(tags))
+        try:
+            code = parser(text)
+        except SchemeError:
+            continue
+        parsed += 1
+        assert parser(render(code)) == code, text
+    assert parsed >= 0.8 * 1500
 
 
 # Every number slot of every grammar: (parser, text with the slot as {},

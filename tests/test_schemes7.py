@@ -16,6 +16,7 @@ from ruledcurves.schemes7 import (
     render_complex_scheme,
     render_real_scheme,
     symmetric_m_complex_schemes,
+    _TABLE,
     _measure,
     _orientation_sums,
 )
@@ -292,8 +293,15 @@ def test_each_exclusion_names_its_law():
     }
     for category in CATEGORIES:
         reasons[("<J + 1 + 1<1<1>>>", category)] = "Bezout"
+    # a theorem-1 nest that passes a category's laws is cited by the row of
+    # theorem 1 in every category based on it
     for a, b in THM1_NESTS:
         reasons[(_nest_text(a, b), "symmetric")] = "cited: symmetric"
+    for text in ("<J + 5 + 1<9>>", "<J + 6 + 1<8>>", "<J + 7 + 1<7>>", "<J + 8 + 1<6>>"):
+        reasons[(text, "symmetric-dividing-pseudoholomorphic")] = "cited: symmetric"
+        reasons[(text, "symmetric-dividing-algebraic")] = "cited: symmetric"
+    for text in ("<J + 4 + 1<9>>", "<J + 6 + 1<7>>", "<J + 7 + 1<6>>"):
+        reasons[(text, "symmetric-non-dividing")] = "cited: symmetric"
     for a, b in ((2, 10), (6, 6), (4, 4)):
         reasons[(_nest_text(a, b), "symmetric-dividing-pseudoholomorphic")] = \
             "cited: symmetric-dividing-pseudoholomorphic"
@@ -305,6 +313,8 @@ def test_each_exclusion_names_its_law():
 
 
 def test_exclusions_name_a_law_or_a_citing_block():
+    cited = [nest for _bases, _laws, nests in _TABLE.values() for nest in nests]
+    assert len(cited) == len(set(cited)) == 15  # no nest is cited by two rows
     laws = {"Harnack", "Bezout", "type-I parity", "complex orientation", "type II"}
     for category in CATEGORIES:
         named = set()
