@@ -67,7 +67,7 @@ def identity(strands: int) -> BraidWord:
 
 def delta_letters(strands: int) -> tuple[int, ...]:
     """The letters of the half twist (s1 s2 ... s_{m-1})(s1 ... s_{m-2}) ... (s1 s2) s1."""
-    return tuple(i for block in range(strands - 1, 0, -1) for i in range(1, block + 1))
+    return tuple([i for block in range(strands - 1, 0, -1) for i in range(1, block + 1)])
 
 
 def delta(strands: int) -> BraidWord:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
-from importlib import resources
 
 from . import braid as braids
 from . import comb as combs
@@ -37,11 +37,9 @@ _PARSE_ERRORS = (ValueError, OSError)
 
 
 def load_registry(path: str | None = None) -> list[dict]:
-    if path:
-        with open(path) as fh:
-            raw = fh.read()
-    else:
-        raw = resources.files("ruledcurves").joinpath("data/registry.txt").read_text()
+    path = path or os.path.join(os.path.dirname(__file__), "data", "registry.txt")
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read()
     fixtures = []
     for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.strip()

@@ -368,7 +368,11 @@ def obstructions(b: BraidWord) -> tuple[Obstruction, ...]:
     alex first tries det(rho(t) - I) = +-t^j Delta (1 + ... + t^(m-1)) at a
     point mod a prime (_alexander_residue); a nonzero residue proves Delta
     != 0 and is the witness. Else, and at e(b) = m-1, Delta is computed once."""
-    m, e = b.strands, exponent_sum(b)
+    return _obstructions(b, b.strands, exponent_sum(b))
+
+
+def _obstructions(b: BraidWord, m: int, e: int) -> tuple[Obstruction, ...]:
+    """obstructions(b), given its strand count m and exponent sum e."""
     if e > m - 1:
         return ()
     if e < m - 1:
@@ -452,7 +456,7 @@ def quasipositivity_verdict(b: BraidWord) -> QuasipositivityVerdict:
             "not_quasipositive", m, e,
             (Obstruction("negative_exponent", m, e, str(e)),),
             note="quasipositive braids have e >= 0")
-    fired = obstructions(b)
+    fired = _obstructions(b, m, e)
     if fired:
         return QuasipositivityVerdict("not_quasipositive", m, e, fired)
     note = "" if e != 1 else "e = 1 noted; obstruction suite is sound but incomplete"

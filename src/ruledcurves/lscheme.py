@@ -218,7 +218,9 @@ def to_braid(ls: LScheme) -> BraidWord:
     """Compile to the associated braid: substitute every event by its
     braid letters at the running count, freely reduce, and append the
     n-th power of the half twist. Free reduction is one stack pass, so
-    the letters are reduced as they are appended."""
+    the letters are reduced as they are appended. The word skips
+    BraidWord's checks: every letter comes from _KINDS at an index that
+    LScheme validated against m, so it lies in 1..m-1 up to sign."""
     if not ls.closed:
         raise LSchemeError("braid compilation needs a closed scheme "
                            "(full intersection count at both ends)")
@@ -235,7 +237,7 @@ def to_braid(ls: LScheme) -> BraidWord:
         count = row.leaves or count
     if len(stack) + n * delta_length(m) > MAX_WORD_LENGTH:
         raise LSchemeError(f"braid word longer than {MAX_WORD_LENGTH} letters")
-    return BraidWord(m, tuple(stack) + delta_letters(m) * n)
+    return tuple.__new__(BraidWord, (m, tuple(stack) + delta_letters(m) * n))
 
 
 # -- elementary rewriting moves -----------------------------------------
@@ -344,36 +346,6 @@ def rewrite_alg(ls: LScheme, rule: str, position: int) -> LScheme:
 # -- trigonal encodings: root schemes and weighted combs ----------------
 
 
-def _r_encoding(ls: LScheme) -> list[Event]:
-    """Tangency-only encoding of a trigonal scheme: crossings become
-    >_k <_k, solitary double points become <_k >_k."""
-    if ls.strands != 3:
-        raise LSchemeError("root schemes and combs need a trigonal scheme (m = 3)")
-    if not ls.closed:
-        raise LSchemeError("trigonal encodings need a closed scheme")
-    out: list[Event] = []
-    for ev in ls.events:
-        kinds = _KINDS[ev.kind].tangencies
-        if len(kinds) == 1:
-            out.append(ev)
-        elif kinds:
-            first, second = kinds
-            out += (Event(first, ev.index), Event(second, ev.index))
-        else:
-            raise LSchemeError("trigonal encodings do not admit divisor events")
-    return out
-
-
-def _first_block_reduced(n: int, r: list[Event]) -> bool:
-    """The wrap-around pair (r_q, r_1) closes an oval plainly when the
-    last ascent matches the first descent, with the index flipped on odd
-    n (the fiberwise order reverses through the fiber at infinity)."""
-    first, last = r[0], r[-1]
-    if n % 2 == 0:
-        return last.index == first.index
-    return abs(last.index - first.index) == 1
-
-
 # Consecutive tangencies (previous kind, current kind, same index) ->
 # (root-scheme block, comb letters, (alpha, beta, gamma) debits). The
 # mixed-index blocks follow the calibration pinned by the worked
@@ -387,14 +359,34 @@ _PAIR_BLOCKS = {
 }
 
 
-def _pair_blocks(n: int, r: list[Event]):
-    """The blocks of the tangency encoding r: first the wrap-around pair
-    (r_q, r_1), read as an ascent followed by a descent, then each
-    consecutive pair. Every pair has a row: validation makes r alternate
-    > and <, from a > to a <, with indices in {1, 2}."""
-    yield _PAIR_BLOCKS["<", ">", _first_block_reduced(n, r)]
-    for prev, cur in zip(r, r[1:]):
-        yield _PAIR_BLOCKS[prev.kind, cur.kind, prev.index == cur.index]
+def _pair_blocks(ls: LScheme):
+    """The blocks of the tangency encoding r of a trigonal scheme, read
+    pair by pair off each event's tangency column (crossings are >k <k,
+    solitary double points <k >k): first the wrap-around pair (r_q, r_1),
+    read as an ascent followed by a descent, then each consecutive pair.
+    The wrap-around pair closes an oval plainly when the last ascent
+    matches the first descent, with the index k read as m - k on odd n
+    (the fiberwise order reverses through the fiber at infinity). Every
+    pair has a row: validation makes r alternate > and <, from a > to a <,
+    with indices in {1, 2}. The scheme is checked before the first block."""
+    if ls.strands != 3:
+        raise LSchemeError("root schemes and combs need a trigonal scheme (m = 3)")
+    if not ls.closed:
+        raise LSchemeError("trigonal encodings need a closed scheme")
+    events = ls.events
+    for ev in events:
+        if not _KINDS[ev.kind].tangencies:
+            raise LSchemeError("trigonal encodings do not admit divisor events")
+    if not events:
+        return
+    prev_kind, prev_index = "<", events[-1].index
+    if ls.surface_index % 2:
+        prev_index = ls.strands - prev_index
+    for ev in events:
+        index = ev.index
+        for kind in _KINDS[ev.kind].tangencies:
+            yield _PAIR_BLOCKS[prev_kind, kind, prev_index == index]
+            prev_kind, prev_index = kind, index
 
 
 RootScheme = tuple[tuple[str, int], ...]
@@ -403,11 +395,8 @@ RootScheme = tuple[tuple[str, int], ...]
 def root_scheme(ls: LScheme) -> RootScheme:
     """Interleaving pattern of the real roots of the three auxiliary
     polynomials (p: multiplicity 3, q: 2, r: 1) read off the tangency
-    encoding, one block per pair of consecutive tangencies."""
-    r = _r_encoding(ls)
-    if not r:
-        return ()
-    return tuple(x for block, _, _ in _pair_blocks(ls.surface_index, r) for x in block)
+    encoding, one block per pair of consecutive tangencies (_pair_blocks)."""
+    return tuple(x for block, _, _ in _pair_blocks(ls) for x in block)
 
 
 def render_root_scheme(rs: RootScheme) -> str:
@@ -425,15 +414,16 @@ def weighted_comb(ls: LScheme) -> WeightedComb:
     debited by 2 only; beta = 3n minus the number of mixed-index blocks,
     which is = n (mod 2): r has an even number of cyclic index changes,
     and the wrap-around block is mixed at a change on even n and at no
-    change on odd n."""
+    change on odd n.
+
+    The comb skips WeightedComb's checks: its letters come from
+    _PAIR_BLOCKS, all in 1..6, and its weights are ints that the debit
+    check below keeps nonnegative."""
     n = ls.surface_index
     alpha, beta, gamma = 6 * n, 3 * n, 2 * n
-    r = _r_encoding(ls)
-    if not r:
-        return WeightedComb((), alpha, beta, gamma)
     word: list[int] = []
-    for i, (_, letters, (da, db, dg)) in enumerate(_pair_blocks(n, r)):
-        word.extend(letters)
+    for i, (_, letters, (da, db, dg)) in enumerate(_pair_blocks(ls)):
+        word += letters
         alpha, beta, gamma = alpha - da, beta - db, gamma - dg
         # checked after each consecutive pair only; weights never grow and a
         # pair always follows the wrap-around block, so no deficit is missed
@@ -441,4 +431,6 @@ def weighted_comb(ls: LScheme) -> WeightedComb:
             raise LSchemeError(
                 f"comb weights go negative ({alpha},{beta},{gamma}): "
                 f"the scheme is not realizable on this surface index")
-    return WeightedComb(tuple(word), alpha // 2, beta // 2, gamma // 2)
+    if not ls.events:
+        return tuple.__new__(WeightedComb, ((), alpha, beta, gamma))
+    return tuple.__new__(WeightedComb, (tuple(word), alpha // 2, beta // 2, gamma // 2))

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from ruledcurves import lscheme
-from ruledcurves.braid import MAX_STRANDS, MAX_WORD_LENGTH, exponent_sum, parse_braid
+from ruledcurves.braid import (
+    MAX_STRANDS, MAX_WORD_LENGTH, BraidWord, compose, delta, exponent_sum, free_reduce, parse_braid,
+    power, word,
+)
 from ruledcurves.comb import WeightedComb, render_weighted_comb
 from ruledcurves.lscheme import (
     ALG_RULES,
@@ -488,6 +491,106 @@ def test_trigonal_encodings_on_every_small_closed_scheme():
         if ls.events:
             assert weights_left(ls, w) == (2 * w.alpha, 2 * w.beta, 2 * w.gamma), \
                 render_scheme(ls)
+
+
+# The trigonal encodings as an explicit list of tangency Events, with the
+# wrap-around rule on its own and every result built by the checking
+# constructors: the oracle for the one-pass reading in lscheme. Its
+# tangency table is written out here, apart from lscheme._KINDS.
+_ORACLE_TANGENCIES = {">": ">", "<": "<", "x": "><", "o": "<>"}
+
+
+def _r_encoding(ls):
+    """Tangency-only encoding of a trigonal scheme: crossings become
+    >_k <_k, solitary double points become <_k >_k."""
+    if ls.strands != 3:
+        raise LSchemeError("root schemes and combs need a trigonal scheme (m = 3)")
+    if not ls.closed:
+        raise LSchemeError("trigonal encodings need a closed scheme")
+    out = []
+    for ev in ls.events:
+        if ev.kind not in _ORACLE_TANGENCIES:
+            raise LSchemeError("trigonal encodings do not admit divisor events")
+        out += [Event(kind, ev.index) for kind in _ORACLE_TANGENCIES[ev.kind]]
+    return out
+
+
+def _first_block_reduced(n, r):
+    """The wrap-around pair closes an oval plainly when the last ascent
+    matches the first descent, with the index flipped on odd n."""
+    first, last = r[0], r[-1]
+    if n % 2 == 0:
+        return last.index == first.index
+    return abs(last.index - first.index) == 1
+
+
+def _oracle_pair_blocks(n, r):
+    yield lscheme._PAIR_BLOCKS["<", ">", _first_block_reduced(n, r)]
+    for prev, cur in zip(r, r[1:]):
+        yield lscheme._PAIR_BLOCKS[prev.kind, cur.kind, prev.index == cur.index]
+
+
+def oracle_root_scheme(ls):
+    r = _r_encoding(ls)
+    if not r:
+        return ()
+    return tuple(x for block, _, _ in _oracle_pair_blocks(ls.surface_index, r) for x in block)
+
+
+def oracle_weighted_comb(ls):
+    n = ls.surface_index
+    alpha, beta, gamma = 6 * n, 3 * n, 2 * n
+    r = _r_encoding(ls)
+    if not r:
+        return WeightedComb((), alpha, beta, gamma)
+    comb_word = []
+    for i, (_, letters, (da, db, dg)) in enumerate(_oracle_pair_blocks(n, r)):
+        comb_word.extend(letters)
+        alpha, beta, gamma = alpha - da, beta - db, gamma - dg
+        if i and min(alpha, beta, gamma) < 0:
+            raise LSchemeError(f"comb weights go negative ({alpha},{beta},{gamma}): "
+                               f"the scheme is not realizable on this surface index")
+    return WeightedComb(tuple(comb_word), alpha // 2, beta // 2, gamma // 2)
+
+
+def oracle_braid(ls):
+    """Every event's letters at the running count, freely reduced once at
+    the end, times Delta^n."""
+    m, letters, reduced = ls.strands, [], False
+    for ev in ls.events:
+        row = lscheme._KINDS[ev.kind]
+        letters += row.letters(ev.index, m, reduced)
+        reduced = row.leaves == "reduced" if row.leaves else reduced
+    return compose(free_reduce(word(m, letters)), power(delta(m), ls.surface_index))
+
+
+def _outcome(compile_, ls):
+    try:
+        return compile_(ls)
+    except LSchemeError as exc:
+        return f"error: {exc}"
+
+
+def test_trigonal_encodings_match_the_event_list_oracle():
+    """On every closed m = 3 scheme with n <= 4 and at most 6 events, and on
+    refused schemes, root_scheme, weighted_comb and to_braid give the
+    oracle's value or error text. The checking constructors accept every
+    word built without them."""
+    schemes = [LScheme(n, 3, events) for n in range(5) for events in _closed_trigonal_events(6)]
+    schemes += [parse_scheme(text) for text in (
+        "n=1 m=4; >1 <1", "n=1 m=3; >1", "n=0 m=3; >1 <1 /", "n=0 m=3; / >2 <2 \\",
+        "n=0 m=3; >1 o2 <1")]
+    assert len(schemes) == 5 * 2731 + 5
+    for ls in schemes:
+        text = render_scheme(ls)
+        assert _outcome(root_scheme, ls) == _outcome(oracle_root_scheme, ls), text
+        w = _outcome(weighted_comb, ls)
+        assert w == _outcome(oracle_weighted_comb, ls), text
+        if isinstance(w, WeightedComb):
+            assert type(w) is WeightedComb and WeightedComb(*w) == w, text
+        if ls.closed:
+            b = to_braid(ls)
+            assert type(b) is BraidWord and b == oracle_braid(ls) == BraidWord(*b), text
 
 
 def test_weighted_comb_final_weights_always_even():
