@@ -17,8 +17,15 @@ That cancellation is free reduction in the free group on g1, g3 and g5,
 with g2 = g1^-1, g4 = g3^-1 and g6 = g5^-1, and a comb is closed exactly
 when it reduces to the identity. A homomorphism maps the identity to the
 identity, so a closed comb stays closed under any letter map that is
-one: erasing g3 and g4 (onto the free group on g1 and g5) is the one
-the chain search uses.
+one. The chain search uses two. One erases g3 and g4 (onto the free
+group on g1 and g5). The other maps onto the Klein bottle group
+K = <A, E | A E A = E> by g1, g3 -> A and g5 -> E (so g2, g4 -> A^-1
+and g6 -> E^-1). Alpha moves g1 -> g3 keep its image, and so do beta
+moves g5 -> g4^j g5 g4^j, since A^-j E A^-j = E follows from A E A = E.
+Setting g1 = g3 and g4 g5 g4 = g5 in the free group presents K, so K is
+the largest quotient in which every alpha and beta move is the identity.
+Every element of K is A^k E^l for one pair (k, l), and
+E^l A = A^((-1)^l) E^l.
 """
 
 from __future__ import annotations
@@ -191,6 +198,45 @@ def _rewrite(word: Comb | list[int], at: dict[int, Comb]) -> list[int]:
     return out
 
 
+def _klein_weights(word: Comb) -> tuple[int, list[int]]:
+    """The image of word in the Klein bottle group K (module docstring)
+    is A^k E^l. Returns k and one weight per position, which
+    _klein_exponent reads at the g2's and g5's.
+
+    A letter's sign is (-1)^(number of g5/g6 before it), and k sums the
+    signs of the g1/g3 minus those of the g2/g4, since E^l A = A^((-1)^l) E^l.
+    With P the running k before position i and s the sign there, the
+    weight is 2P - s at a g2 and 2P + s at a g5."""
+    k, sign = 0, 1
+    weights = []
+    for x in word:
+        weights.append(2 * k + (sign if x == 5 else -sign))
+        if x >= 5:
+            sign = -sign
+        else:
+            k += sign if x & 1 else -sign
+    return k, weights
+
+
+def _klein_exponent(k: int, weights: list[int], at: list[int]) -> int:
+    """The k of the image in K of the word with gamma moves at the sorted
+    positions `at` (g2's and g5's), from _klein_weights(word), in
+    O(len(at)).
+
+    g6 g1 g6 g1 g6 holds three g5/g6 where the g2 held none, and
+    g3 g6 g3 g6 g3 two where the g5 held one, so each rewrite flips the
+    sign of every later letter. The first block adds 0 to k and the
+    second adds its first letter's sign s. So k sums the root word's
+    letters between rewrites with alternating signs, which is +-(the
+    root word's k) and +-(P + P') at each rewrite, P and P' being the
+    running k before and after the rewritten letter, plus s at each g5.
+    P' = P - s at a g2 and P at a g5, so each rewrite adds +-weight."""
+    k = -k if len(at) % 2 else k
+    for t, i in enumerate(at):
+        k += -weights[i] if t % 2 else weights[i]
+    return k
+
+
 def _phase_chains(w: WeightedComb, enough: float) -> int:
     """The chain count of _chains, by phase instead of by walk, from the
     root laws down to the leaves.
@@ -228,17 +274,30 @@ def _phase_chains(w: WeightedComb, enough: float) -> int:
     classes differ by more than alpha is rejected before any leaf. A
     gamma set that leaves no beta multiset tries no alpha set.
 
-    A third law cuts whole alpha sets. Erasing g3 and g4 maps a closed
-    comb to a closed one (module docstring), and maps g4^j g5 g4^j to g5,
-    so every leaf of one gamma set and alpha set has the same erased
-    word: the after-alpha word with its g3's and g4's erased. When that
-    does not close, no beta multiset is tried. On the benchmark's
-    chain-search combs (seed 1, batches 0-39: 639 combs, mu_exists then
-    mu_count), 8,638 alpha sets reach the law and 2,701 pass it; the
-    leaf stack passes fall from 30,596 to 9,181, of which 2,219 close.
-    The cost is one stack pass on the erased word per alpha set, and one
-    per choice that passes all three laws; the count is capped at
-    `enough` as in _chains."""
+    A Klein law cuts whole gamma sets before their rewrite. Alpha and
+    beta moves keep the image in K (module docstring), so every leaf of
+    a gamma set has the image A^k E^l of the after-gamma word, and a
+    closed leaf maps to 1. l = n5 - n6 - 3 gamma is 0 by the first
+    balance law, so the law is k = 0; _klein_exponent reads k off the
+    root word in O(gamma) per gamma set. Any letter map that keeps every
+    alpha and beta move factors through K, so no such law cuts a gamma
+    set that this one passes.
+
+    An erased law cuts whole alpha sets. Erasing g3 and g4 maps a closed
+    comb to a closed one, and maps g4^j g5 g4^j to g5, so every leaf of
+    one gamma set and alpha set has the same erased word: the
+    after-alpha word with its g3's and g4's erased. When that does not
+    close, no beta multiset is tried.
+
+    On the benchmark's chain-search combs (seed 1, batches 0-39: 639
+    combs, mu_exists then mu_count) the Klein law cuts 3,005 of 5,781
+    gamma sets. Without it, 8,638 alpha sets reach the erased law and
+    9,181 leaves are tried, against 30,596 with neither law; with it,
+    7,061 alpha sets and 8,096 leaves. 2,219 leaves close either way.
+    The cost is O(length) per comb and O(gamma) per gamma set for the
+    Klein law, one stack pass on the erased word per alpha set, and one
+    per choice that passes every law; the count is capped at `enough`
+    as in _chains."""
     word, a, b, g = w
     if word.count(5) - word.count(6) != 3 * g:
         # both gamma moves change n5 - n6 by exactly -3 (the g2 move adds
@@ -254,6 +313,7 @@ def _phase_chains(w: WeightedComb, enough: float) -> int:
         # every split of the gamma moves
         return 0
     total = 0
+    k, weights = _klein_weights(word)
     g2s = [i for i, x in enumerate(word) if x == 2]
     g5s = [i for i, x in enumerate(word) if x == 5]
     # The bounds on y:
@@ -268,6 +328,8 @@ def _phase_chains(w: WeightedComb, enough: float) -> int:
         orderings = math.factorial(g) * math.factorial(rest) * math.factorial(b)
         for on_g5 in combinations(g5s, y):
             for on_g2 in combinations(g2s, g - y):
+                if _klein_exponent(k, weights, sorted(on_g2 + on_g5)):
+                    continue  # no leaf of this gamma set maps to 1 in K
                 mid = _rewrite(word, {**dict.fromkeys(on_g2, _GAMMA_G2),
                                       **dict.fromkeys(on_g5, _GAMMA_G5)})
                 # g1 positions and signed g1/g2 and g5/g6 sums by parity
@@ -320,10 +382,12 @@ def mu_count(w: WeightedComb, prune: bool = True) -> int:
     """Number of chains from w down to a closed comb at zero weights.
     Pruned, _phase_chains decides it alone: three balance laws at the
     root, then gamma! a'! beta! / prod(j_i!) summed over the phase
-    choices whose leaf closes, trying only the choices that pass its two
-    parity laws and whose alpha set passes the g3/g4-erased law, with one
-    stack pass each. The erased law skips about 70% of the leaves that
-    pass the parity laws on the chain-search combs (_phase_chains).
+    choices whose leaf closes, trying only the gamma sets whose image in
+    the Klein bottle group is 1 and the choices that pass its two parity
+    laws and whose alpha set passes the g3/g4-erased law, with one stack
+    pass each. On the chain-search combs the Klein law cuts 52% of the
+    gamma sets before their rewrite, and the two laws leave about a
+    quarter of the leaves that pass the parity laws (_phase_chains).
     prune=False runs _chains, the literal chain walk that the tests
     compare the phase count against."""
     return (_phase_chains if prune else _chains)(w, math.inf)

@@ -334,19 +334,24 @@ def _swapped(w, rng, swaps):
 
 
 def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
-    """The balance, parity and g3/g4-erased laws prune no chain on combs
-    of 16-26 letters: unwound closed combs (mu >= 1) and letter-swapped
-    copies (mostly mu = 0, where pruning does the work). The last two
-    combs pass every balance law. Only the parity law rejects the first.
-    Only the erased law rejects the second: each of its two alpha sets
-    erases to g1 g5 g2 g6, which does not close, so no beta leaf (which
-    would hold a g4) is tried."""
+    """The balance, Klein, parity and g3/g4-erased laws prune no chain on
+    combs of 16-26 letters: unwound closed combs (mu >= 1) and
+    letter-swapped copies (mostly mu = 0, where pruning does the work).
+    The last three combs pass every balance law. Only the parity law
+    rejects the first. Only the erased law rejects the second: its image
+    in K is trivial (k = 0), and its one alpha set erases to g2 g5 g1 g6,
+    which does not close, so no beta leaf (which would hold a g4) is
+    tried. Only the Klein law rejects the third (k = 4): it passes the
+    parity laws, and its one alpha set erases to g5 g6, which closes, so
+    without the Klein law it costs an erased pass and a leaf pass."""
     parity_only = parse_weighted_comb("g1 g3 g1 g4 g2 g4 | 1 0 0")
-    erased_only = parse_weighted_comb("g1 g1 g1 g5 g2 g6 | 2 1 0")
-    for w in (parity_only, erased_only):
+    erased_only = parse_weighted_comb("g1 g3 g2 g5 g1 g6 | 1 1 0")
+    klein_only = parse_weighted_comb("g1 g1 g1 g5 g4 g6 | 3 1 0")
+    for w in (parity_only, erased_only, klein_only):
         n = [w.word.count(x) for x in range(7)]
         # d12 = alpha, d34 + alpha - 2 beta = 0, d56 = 3 gamma: balanced
         assert n[1] - n[2] == w.alpha and n[3] - n[4] + w.alpha == 2 * w.beta and n[5] == n[6]
+    assert [_klein_image(w.word) for w in (erased_only, klein_only)] == [(0, 0), (4, 0)]
     closes = comb._closes
     passes, expanded = [], []
     monkeypatch.setattr(comb, "_closes", lambda word: passes.append(list(word)) or closes(word))
@@ -357,10 +362,15 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
     assert mu_count(parity_only, prune=False) == 0 and expanded == [parity_only]
     passes.clear()
     assert mu_count(erased_only) == 0
-    assert passes == [[1, 5, 2, 6]] * 2  # one pass per alpha set, on its erased word
+    assert passes == [[2, 5, 1, 6]]  # one pass for its one alpha set, on its erased word
     passes.clear()
     assert mu_count(erased_only, prune=False) == 0
-    assert len(passes) == 3 and all(4 in word for word in passes)  # the walk tries 3 leaves
+    assert len(passes) == 2 and all(4 in word for word in passes)  # the walk tries 2 leaves
+    passes.clear()
+    assert mu_count(klein_only) == 0
+    assert passes == []  # rejected before its gamma set is rewritten
+    assert mu_count(klein_only, prune=False) == 0
+    assert passes == [[3, 3, 3, 4, 5, 4, 4, 6]]  # the walk's one leaf
     monkeypatch.undo()
     rng = random.Random(127)
     combs = []
@@ -368,7 +378,7 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
         w = _unwound_comb(rng, rng.randint(16, 26))
         assert mu_exists(w, prune=False)
         combs += [w, _swapped(w, rng, 1), _swapped(w, rng, 2)]
-    combs += [parity_only, erased_only]
+    combs += [parity_only, erased_only, klein_only]
     counts = []
     for w in combs:
         count = mu_count(w, prune=False)
@@ -376,52 +386,125 @@ def test_mu_pruned_equals_unpruned_on_long_combs(monkeypatch):
         assert mu_count(w, prune=True) == count, w
         for p in (True, False):
             assert mu_exists(w, prune=p) == (count > 0), (w, p)
-    assert counts[-2:] == [0, 0]
+    assert counts[-3:] == [0, 0, 0]
     assert sum(c > 0 for c in counts) >= 40 and sum(c == 0 for c in counts) >= 20
     assert max(counts) > 1
 
 
-def test_closed_combs_close_with_g3_g4_erased():
-    """The law behind the pruned count's alpha-set cut. Closing is free
-    reduction to the identity, and erasing g3 and g4 is a homomorphism of
-    free groups, so every closed comb still closes with them erased. Here
-    on every closed comb of at most 8 letters, each built once or more as
+def _closed_combs():
+    """Every closed comb of at most 8 letters, each built once or more as
     x C x' C' from shorter closed combs C and C' (x' the partner of x)."""
     closed = [{()}]
     for n in range(1, 5):
         closed.append({(x, *inner, _PARTNER[x], *outer)
                        for k in range(n) for inner in closed[k] for outer in closed[n - 1 - k]
                        for x in range(1, 7)})
-    words = set().union(*closed)
+    return set().union(*closed)
+
+
+def test_closed_combs_close_with_g3_g4_erased():
+    """The law behind the pruned count's alpha-set cut. Closing is free
+    reduction to the identity, and erasing g3 and g4 is a homomorphism of
+    free groups, so every closed comb still closes with them erased. Here
+    on every closed comb of at most 8 letters."""
+    words = _closed_combs()
     assert len(words) == 13735
     for word in words:
         assert find_closure(word) is not None
         assert find_closure(tuple(x for x in word if x not in (3, 4))) is not None, word
 
 
+def _klein_image(word):
+    """The image of a comb in the Klein bottle group K = <A, E | A E A = E>
+    under g1, g3 -> A, g2, g4 -> A^-1, g5 -> E, g6 -> E^-1, as the pair
+    (k, l) of its normal form A^k E^l. The product is taken letter by
+    letter: E^l A^s = A^((-1)^l s) E^l, so (k, l)(s, t) = (k ± s, l + t)."""
+    k = l = 0
+    for x in word:
+        s, t = {1: (1, 0), 3: (1, 0), 2: (-1, 0), 4: (-1, 0), 5: (0, 1), 6: (0, -1)}[x]
+        k, l = k + (s if l % 2 == 0 else -s), l + t
+    return k, l
+
+
+def _gamma_rewritten(word, at):
+    """word with g2 -> g6 g1 g6 g1 g6 and g5 -> g3 g6 g3 g6 g3 at the
+    positions `at`, spliced from the right."""
+    blocks = {2: (6, 1, 6, 1, 6), 5: (3, 6, 3, 6, 3)}
+    for i in sorted(at, reverse=True):
+        word = word[:i] + blocks[word[i]] + word[i + 1:]
+    return word
+
+
+def test_klein_law_is_sound():
+    """The law behind the pruned count's gamma-set cut, against the
+    product in K. A closed comb maps to 1; alpha and beta moves keep the
+    image (A E A = E gives A^-j E A^-j = E); and _klein_exponent reads
+    the k of every gamma set's rewritten word off the root word alone.
+    The gamma sets are all sets of at most three g2/g5 positions of the
+    gamma = 2 combs of _phase_unwound and their mirrors, and the root
+    laws put l at 0 on the two-position ones."""
+    assert _klein_image((1, 5, 1)) == _klein_image((5,)) == (0, 1)
+    words = _closed_combs()
+    assert len(words) == 13735
+    for word in words:
+        assert _klein_image(word) == (0, 0), word
+        assert comb._klein_weights(word)[0] == 0, word
+    rng = random.Random(157)
+    for _ in range(300):
+        word = tuple(rng.choices(range(1, 7), k=rng.randint(1, 14)))
+        image = _klein_image(word)
+        assert comb._klein_weights(word)[0] == image[0]
+        for letter, block in [(1, (3,)), (5, (4, 5, 4)), (5, (4, 4, 5, 4, 4))]:
+            hits = [i for i, x in enumerate(word) if x == letter]
+            if hits:
+                i = rng.choice(hits)
+                assert _klein_image(word[:i] + block + word[i + 1:]) == image, (word, i, block)
+    rng = random.Random(163)
+    checked = 0
+    for _ in range(10):
+        w = _phase_unwound(rng)
+        for word in (w.word, w.word[::-1]):
+            k, weights = comb._klein_weights(word)
+            targets = [i for i, x in enumerate(word) if x in (2, 5)]
+            for size in range(4):
+                for at in itertools.combinations(targets, size):
+                    image = _klein_image(_gamma_rewritten(word, at))
+                    assert comb._klein_exponent(k, weights, list(at)) == image[0], (word, at)
+                    assert size != w.gamma or image[1] == 0
+                    checked += 1
+    assert checked > 1000
+
+
 def test_erased_law_saves_leaf_stack_passes(monkeypatch):
-    """The g3/g4-erased law's saving, counted in stack passes rather than
-    time. On 15 seeded combs with beta >= 2 (five from _phase_unwound and
-    two letter-swapped copies of each), mu_exists then mu_count tried
-    9,397 leaves, by one stack pass each, before the law; with it they try
-    2,592 leaves and pass over 228 erased words, under a third as many
-    passes in all. Every leaf holds a g4 from its beta expansions and no
-    erased word does, so the letters tell the two kinds of pass apart."""
+    """The saving of the Klein and g3/g4-erased laws, counted in calls
+    rather than time. On 15 seeded combs with beta >= 2 (five from
+    _phase_unwound and two letter-swapped copies of each), mu_exists then
+    mu_count tried 9,397 leaves, by one stack pass each, before either
+    law. The erased law took that to 2,592 leaves and 228 erased words.
+    Of the 390 gamma sets those searches rewrite, the Klein law cuts 267
+    before their rewrite: _rewrite calls (one per gamma set left and one
+    per leaf) fall from 2,982 to 1,641, and stack passes from 2,820 to
+    1,518 leaves and 137 erased words. Every leaf holds a g4 from its beta
+    expansions and no erased word does, so the letters tell the two kinds
+    of pass apart."""
     rng = random.Random(151)
     combs = []
     for _ in range(5):
         w = _phase_unwound(rng)
         combs += [w, _swapped(w, rng, 1), _swapped(w, rng, 2)]
-    closes = comb._closes
-    passes = []
+    closes, rewrite = comb._closes, comb._rewrite
+    passes, rewrites = [], []
     monkeypatch.setattr(comb, "_closes", lambda word: passes.append(4 in word) or closes(word))
+    monkeypatch.setattr(comb, "_rewrite",
+                        lambda word, at: rewrites.append(at) or rewrite(word, at))
     total = 0
     for w in combs:
         assert w.beta >= 2
         mu_exists(w)
         total += mu_count(w)
     assert total == 7488
-    assert sum(passes) < 9397 and len(passes) < 9397 / 3
+    assert sum(passes) == 1518 and len(passes) == 1518 + 137
+    assert len(rewrites) == 1641
 
 
 def _root_laws(w):
