@@ -36,15 +36,18 @@ _PARSE_ERRORS = (ValueError, OSError)
 # -- reproduction harness -------------------------------------------------
 
 
+def _lines(path: str) -> list[tuple[int, str]]:
+    """The stripped lines of a UTF-8 text file, whatever the locale,
+    numbered from 1, without blank lines and '#' comment lines."""
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(map(str.strip, fh.read().splitlines()), 1)
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def load_registry(path: str | None = None) -> list[dict]:
     path = path or os.path.join(os.path.dirname(__file__), "data", "registry.txt")
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
     fixtures = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         parts = [p.strip().replace("\\|", "|") for p in line.split(" | ")]
         if len(parts) != 5:
             raise ValueError(f"registry line {lineno}: expected 5 fields, got {len(parts)}")
@@ -192,8 +195,7 @@ def run_repro(path: str | None = None) -> dict:
 def _braids(args) -> tuple[dict, str]:
     schemes = [args.scheme]
     if args.file:
-        with open(args.scheme) as fh:
-            schemes = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+        schemes = [line for _, line in _lines(args.scheme)]
     outputs = [braids.render_braid(lschemes.to_braid(lschemes.parse_scheme(s)))
                for s in schemes]
     return {"braids": outputs}, "\n".join(outputs)

@@ -3,7 +3,7 @@ Exact integer Laurent polynomials in one variable t.
 
 A LaurentPoly is a sparse mapping exponent -> coefficient with no zero
 coefficients; the zero polynomial is the empty mapping. It is the form of
-the text boundary: the parser builds it, the fixtures compare it. The
+the text boundary: parse_poly builds it, the fixtures compare it. The
 arithmetic (exact division, gcd, the unit-circle test) runs on dense
 lists: a valuation v plus the coefficients from degree 0 up. Coefficients
 are Python ints, so nothing ever overflows. The textual form is the one
@@ -17,7 +17,9 @@ products of parenthesised factors with integer powers, e.g.
 product or power whose degree span would pass MAX_POLY_SPAN is refused
 before it is expanded, so a short text cannot ask for unbounded work, and
 parentheses nested deeper than braid.MAX_DEPTH are refused as well.
-Integers and exponents are written in ASCII decimal digits.
+Integers and exponents are written in ASCII decimal digits; any
+whitespace may stand between tokens. parse_poly reads the text with one
+lexeme regex and the tokens with three nested functions, one per rule.
 """
 
 from __future__ import annotations
@@ -274,10 +276,9 @@ def has_simple_unit_circle_root(p: LaurentPoly) -> bool:
 
 # -- text form ---------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<pow>\^-?[0-9]+)|(?P<mul>\*)"
-    r"|(?P<sign>[+-])|(?P<int>[0-9]+)|(?P<t>t))"
-)
+# A lexeme is a gap of any whitespace and then a token: a power '^k', an
+# integer, '(', ')', '*', a sign or t; or any other character, refused.
+_POLY_LEXEME = re.compile(r"\s*(?:(\^-?[0-9]+|[0-9]+|[-+*()t])|(\S))")
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -305,85 +306,63 @@ def _span(p: LaurentPoly) -> int:
     return max(p.coeffs) - min(p.coeffs) if p.coeffs else 0
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise LaurentError(f"bad polynomial syntax near {text[pos:pos+10]!r}")
-                break
-            pos = m.end()
-            for kind, val in m.groupdict().items():
-                if val is not None:
-                    self.tokens.append((kind, val))
-        self.i = self.depth = 0
+def parse_poly(text: str) -> LaurentPoly:
+    """Parse the flat monomial form or a product of parenthesised factors.
+    One lexeme regex reads the whole text first, so the first character
+    that starts no token is refused before anything else. A recursive
+    descent, once per parenthesis level, then pops the tokens from a
+    reversed list whose bottom entry "" stands for the end of the text."""
+    lexemes = list(_POLY_LEXEME.finditer(text))
+    if bad := next((m for m in lexemes if m[2]), None):
+        raise LaurentError(f"bad polynomial syntax near {text[bad.start():bad.start() + 10]!r}")
+    tokens = [""] + [m[1] for m in reversed(lexemes)]
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def exponent(default: int | None) -> int | None:
+        """The k of a '^k' token next, taken, or else default."""
+        return parse_int(tokens.pop()[1:], LaurentError) if tokens[-1][:1] == "^" else default
 
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse_expr(self) -> LaurentPoly:
-        sign = 1
-        if self.peek() == "sign":
-            sign = -1 if self.take()[1] == "-" else 1
-        acc = self.parse_term() * sign
-        while self.peek() == "sign":
-            sign = -1 if self.take()[1] == "-" else 1
-            acc = acc + self.parse_term() * sign
+    def expr(depth: int) -> LaurentPoly:
+        sign = -1 if tokens[-1] == "-" else 1
+        if tokens[-1] in ("+", "-"):
+            tokens.pop()
+        acc = term(depth) * sign
+        while tokens[-1] in ("+", "-"):
+            sign = -1 if tokens.pop() == "-" else 1
+            acc = acc + term(depth) * sign
         return acc
 
-    def parse_term(self) -> LaurentPoly:
-        acc = self.parse_factor()
-        while True:
-            if self.peek() == "mul":
-                self.take()
-            elif self.peek() != "lpar":
-                return acc
-            factor = self.parse_factor()
-            if _span(acc) + _span(factor) > MAX_POLY_SPAN:
+    def term(depth: int) -> LaurentPoly:
+        acc = factor(depth)
+        while tokens[-1] in ("*", "("):
+            if tokens[-1] == "*":
+                tokens.pop()
+            right = factor(depth)
+            if _span(acc) + _span(right) > MAX_POLY_SPAN:
                 raise LaurentError(f"product wider than {MAX_POLY_SPAN} degrees")
-            acc = acc * factor
+            acc = acc * right
+        return acc
 
-    def parse_factor(self) -> LaurentPoly:
-        kind = self.peek()
-        if kind == "lpar":
-            self.take()
-            self.depth += 1
-            if self.depth > MAX_DEPTH:  # the parser recurses once per level
-                raise LaurentError(f"parentheses nested deeper than {MAX_DEPTH}")
-            inner = self.parse_expr()
-            if self.peek() != "rpar":
-                raise LaurentError("unbalanced parentheses in polynomial")
-            self.take()
-            self.depth -= 1
-            if self.peek() == "pow":
-                k = parse_int(self.take()[1][1:], LaurentError)
-                if k * max(_span(inner), 1) > MAX_POLY_SPAN:
-                    raise LaurentError(f"power wider than {MAX_POLY_SPAN} degrees")
-                inner = inner ** k
+    def factor(depth: int) -> LaurentPoly:
+        token = tokens.pop()  # the end "" too, which is refused below
+        if token == "t":
+            return LaurentPoly({exponent(1): 1})
+        if token.isdigit():
+            return LaurentPoly({0: parse_int(token, LaurentError)})
+        if token != "(":
+            raise LaurentError("expected a monomial or parenthesised factor")
+        if depth == MAX_DEPTH:  # the parser recurses once per level
+            raise LaurentError(f"parentheses nested deeper than {MAX_DEPTH}")
+        inner = expr(depth + 1)
+        if tokens.pop() != ")":
+            raise LaurentError("unbalanced parentheses in polynomial")
+        k = exponent(None)
+        if k is None:
             return inner
-        if kind == "int":
-            return LaurentPoly({0: parse_int(self.take()[1], LaurentError)})
-        if kind == "t":
-            self.take()
-            exp = 1
-            if self.peek() == "pow":
-                exp = parse_int(self.take()[1][1:], LaurentError)
-            return LaurentPoly({exp: 1})
-        raise LaurentError("expected a monomial or parenthesised factor")
+        if k * max(_span(inner), 1) > MAX_POLY_SPAN:
+            raise LaurentError(f"power wider than {MAX_POLY_SPAN} degrees")
+        return inner ** k
 
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse the flat monomial form or a product of parenthesised factors."""
-    parser = _Parser(text)
-    p = parser.parse_expr()
-    if parser.peek() is not None:
+    p = expr(0)
+    if tokens[-1]:
         raise LaurentError(f"trailing input in polynomial: {text!r}")
     return p

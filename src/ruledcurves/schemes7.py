@@ -6,7 +6,9 @@ M-curves.
 Real schemes are nesting trees: ``<J + 4 + 1<8>>`` is the odd component
 J, four empty ovals, and an oval with eight empty ovals inside. Complex
 schemes of type I add a p/m sign per oval and a trailing ``:I`` tag;
-type II schemes carry no signs and a trailing ``:II`` tag.
+type II schemes carry no signs and a trailing ``:II`` tag. Both are read
+by one function, ``_read_ovals``, over the lexemes of one regex: spaces
+and tabs may stand between tokens, and a refusal names its offset.
 
 A category is one row of ``_TABLE``: its bases, its named laws and the
 nests it cites. The laws are Harnack's and Bezout's bounds for every
@@ -62,91 +64,73 @@ def _canon(nodes) -> tuple:
 
 # -- text form ----------------------------------------------------------
 
-_ITEM = re.compile(r"([0-9]+)([pm]?)")
+# A lexeme is a gap of spaces and tabs and then an oval count with its
+# p/m sign, or any one character, or nothing at the end of the text.
+_OVAL_LEXEME = re.compile(r"[ \t]*(([0-9]+)([pm]?)|.?)", re.S)
 
 
-class _SchemeParser:
-    """``<J + item + ...>``, where an item is a count in ASCII decimal
-    digits, a p/m sign when the scheme is signed, and an optional nested
-    ``<item + ...>`` group. A scheme of more than MAX_WORD_LENGTH ovals,
-    nested copies included, or with ovals nested deeper than MAX_DEPTH
-    (J not counted; degree 7 allows 3), is refused before it is built."""
+def _read_ovals(text: str, signed: bool) -> tuple:
+    """The ovals of ``<J + item + ...>``, where an item is a count in ASCII
+    decimal digits, a p/m sign when the scheme is signed, and an optional
+    nested ``<item + ...>`` group; read by one lexeme regex, recursing once
+    per group. A scheme of more than MAX_WORD_LENGTH ovals, nested copies
+    included, or with ovals nested deeper than MAX_DEPTH (J not counted;
+    degree 7 allows 3), is refused before it is built. A refusal names
+    its offset in text."""
+    lexemes = _OVAL_LEXEME.finditer(text)
+    size = 0  # ovals built so far
 
-    def __init__(self, text: str, signed: bool):
-        self.text = text
-        self.pos = 0
-        self.signed = signed
-        self.size = 0  # ovals built so far
+    def error(msg: str, offset: int):
+        raise SchemeError(f"{msg} at offset {offset} in {text!r}")
 
-    def error(self, msg: str):
-        raise SchemeError(f"{msg} at offset {self.pos} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def accept(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(ch, self.pos):
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.accept(ch):
-            self.error(f"expected {ch!r}")
-
-    def parse(self) -> tuple:
-        self.expect("<")
-        self.expect("J")
-        ovals = self.group(after_item=True, depth=1)  # J is the first item
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return ovals
-
-    def group(self, after_item: bool, depth: int) -> tuple:
-        """The '+'-separated items up to the closing '>', in canonical
-        order, each an oval at the given depth."""
-        if depth > MAX_DEPTH:  # the parser recurses once per level
-            self.error(f"ovals nested deeper than {MAX_DEPTH}")
-        ovals = []
-        while not self.accept(">"):
+    def group(depth: int, after_item: bool):
+        """The '+'-separated items up to the closing '>', each an oval at
+        the given depth, in canonical order, and the offset after the '>'."""
+        nonlocal size
+        ovals, m = [], next(lexemes)
+        while m[1] != ">":
             if after_item:
-                self.expect("+")
+                if m[1] != "+":
+                    error("expected '+'", m.start(1))
+                m = next(lexemes)
             after_item = True
-            ovals.extend(self.item(depth))
-        return _canon(ovals)
+            if m[2] is None:
+                error("expected an oval count", m.start(1))
+            count, sign = parse_int(m[2], SchemeError), m[3]
+            if signed != bool(sign):
+                error("complex schemes need a p/m sign on every oval" if signed
+                      else "unexpected sign in a real scheme", m.end())
+            before, children, m = size, (), next(lexemes)
+            end = m.start(1)
+            if m[1] == "<":
+                if depth == MAX_DEPTH:  # the reader recurses once per level
+                    error(f"ovals nested deeper than {MAX_DEPTH}", m.end())
+                children, end = group(depth + 1, after_item=False)
+                m = next(lexemes)
+            size = before + count * (1 + size - before)
+            if size > MAX_WORD_LENGTH:
+                error(f"scheme of more than {MAX_WORD_LENGTH} ovals", end)
+            ovals += [(1 if sign == "p" else -1, children) if signed else children] * count
+        return _canon(ovals), m.end()
 
-    def item(self, depth: int) -> list:
-        self.skip_ws()
-        m = _ITEM.match(self.text, self.pos)
-        if not m:
-            self.error("expected an oval count")
-        self.pos = m.end()
-        count, sign = parse_int(m.group(1), SchemeError), m.group(2)
-        if self.signed and not sign:
-            self.error("complex schemes need a p/m sign on every oval")
-        if not self.signed and sign:
-            self.error("unexpected sign in a real scheme")
-        before = self.size
-        children = self.group(after_item=False, depth=depth + 1) if self.accept("<") else ()
-        self.size = before + count * (1 + self.size - before)
-        if self.size > MAX_WORD_LENGTH:
-            self.error(f"scheme of more than {MAX_WORD_LENGTH} ovals")
-        node = (1 if sign == "p" else -1, children) if self.signed else children
-        return [node] * count
+    for want in "<J":
+        if (m := next(lexemes))[1] != want:
+            error(f"expected {want!r}", m.start(1))
+    ovals, _ = group(1, after_item=True)  # J is the first item
+    if (m := next(lexemes))[1]:
+        error("trailing input", m.start(1))
+    return ovals
 
 
 def parse_real_scheme(text: str) -> RealSchemeCode:
-    return RealSchemeCode(_SchemeParser(text.strip(), signed=False).parse())
+    return RealSchemeCode(_read_ovals(text.strip(), signed=False))
 
 
 def parse_complex_scheme(text: str) -> ComplexSchemeCode:
     body, _, tag = text.strip().rpartition(":")
     if tag not in ("I", "II"):
         raise SchemeError(f"complex scheme needs a :I or :II tag: {text!r}")
-    return ComplexSchemeCode(_SchemeParser(body.strip(), signed=(tag == "I")).parse(), tag)
+    return ComplexSchemeCode(_read_ovals(body.strip(), signed=(tag == "I")), tag)
 
 
 def render_real_scheme(code: RealSchemeCode) -> str:

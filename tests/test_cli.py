@@ -36,6 +36,28 @@ def test_braid_file(tmp_path, capsys):
     assert payload["braids"][1] == "strands=3; s1 s2 s1"
 
 
+def test_files_are_read_as_utf8_in_any_locale(tmp_path):
+    # Under the C locale open() would decode as ASCII; both text files
+    # are UTF-8, comments included.
+    schemes = tmp_path / "schemes.txt"
+    schemes.write_text("# on \u03a3\u2081\nn=1 m=3;\n", encoding="utf-8")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("# \u03a3\u2081\nr1 | braid | strands=2; s1 | e=1 | \u00a7 2\n",
+                        encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUTF8", None)
+    for argv in (("braid", str(schemes), "--file"), ("repro", "--registry", str(registry))):
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "ruledcurves.cli", *argv],
+                              capture_output=True, text=True, encoding="utf-8", env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS r1")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# \u03a3\n\nr1 | braid\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="registry line 3: expected 5 fields, got 2"):
+        cli.load_registry(str(bad))
+
+
 def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "strands=3; s2^-7 s1 s2 D^2", "--json")
     assert code == 0

@@ -53,6 +53,16 @@ def test_hash_agrees_with_equality():
     assert len({p, P("5 - t^-1 + 2*t^3"), P("5"), 5}) == 2
 
 
+def test_immutable_foreign_equality_and_repr():
+    p = P("t^2 - 7*t^-3")
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+        p.coeffs = {}
+    assert p.coeffs == {2: 1, -3: -7}
+    assert p.__eq__("t^2 - 7*t^-3") is NotImplemented
+    assert p != "t^2 - 7*t^-3" and not p == 1.5 and p != None  # noqa: E711
+    assert repr(p) == "LaurentPoly('t^2 - 7*t^-3')" and repr(P("0")) == "LaurentPoly('0')"
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240)
     for _ in range(300):
@@ -290,6 +300,8 @@ def test_text_round_trip():
     assert parse_poly("0") == LaurentPoly()
     assert not parse_poly("0") and parse_poly("-1") and parse_poly("t^-1")
     assert format_poly(P("-t^-2 + 3")) == "3 - t^-2"
+    assert P(" t\n-\t2 *\u3000t^-1 \r\n") == P("t - 2*t^-1")  # any whitespace
+    assert P("2(t+1)(t-1)") == P("2*t^2 - 2")
     with pytest.raises(LaurentError):
         parse_poly("t^^2")
     with pytest.raises(LaurentError):
@@ -298,6 +310,41 @@ def test_text_round_trip():
         parse_poly("+")
     with pytest.raises(LaurentError, match="trailing input in polynomial"):
         parse_poly("t )")
+
+
+# One row per refusal of the polynomial grammar: text -> exact message.
+# A text is read whole before it is parsed, so the first character that
+# starts no token is refused first, quoted from the end of the token
+# before it; whitespace of any kind may stand between tokens.
+POLY_REFUSALS = {
+    "t $ 1": "bad polynomial syntax near ' $ 1'",
+    "t^ 2": "bad polynomial syntax near '^ 2'",
+    "(" * 20 + "t^-": "bad polynomial syntax near '^-'",
+    "t + \u0663": "bad polynomial syntax near ' \u0663'",
+    "(t - 1": "unbalanced parentheses in polynomial",
+    "(t - 1 t)": "unbalanced parentheses in polynomial",
+    "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1):
+        f"parentheses nested deeper than {MAX_DEPTH}",
+    f"(t+1)^{MAX_POLY_SPAN}*(t-1)": f"product wider than {MAX_POLY_SPAN} degrees",
+    f"(t+1)^{MAX_POLY_SPAN}(t-1)": f"product wider than {MAX_POLY_SPAN} degrees",
+    f"(t+1)^{MAX_POLY_SPAN + 1}": f"power wider than {MAX_POLY_SPAN} degrees",
+    "(t-1)^-1": "negative powers of polynomials are not defined",
+    "t +": "expected a monomial or parenthesised factor",
+    "t*)": "expected a monomial or parenthesised factor",
+    "": "expected a monomial or parenthesised factor",
+    "t )": "trailing input in polynomial: 't )'",
+    "2^3": "trailing input in polynomial: '2^3'",
+    "9" * 4301 + "*t": "number of 4301 digits is too long",
+    "(t)^" + "9" * 4301: "number of 4301 digits is too long",
+    "t^-" + "9" * 4301: "number of 4302 digits is too long",
+}
+
+
+@pytest.mark.parametrize("text", list(POLY_REFUSALS), ids=lambda text: text[:24])
+def test_poly_refusals_are_exact(text):
+    with pytest.raises(LaurentError) as refusal:
+        parse_poly(text)
+    assert str(refusal.value) == POLY_REFUSALS[text]
 
 
 def test_parse_refuses_wide_powers_and_products():

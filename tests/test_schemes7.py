@@ -189,12 +189,62 @@ def test_parse_render():
                  "<J + 1 + 1<1<1>>>", "<J + 1<13>>"):
         assert render_real_scheme(R(text)) == text
     assert R("<J + 2>") == R("<J + 1 + 1>")
+    assert R(" \t<J\t+ 4 +1< >  >\n") == R("<J + 4 + 1>")  # spaces and tabs between tokens
+    assert parse_complex_scheme(" <J + 4p> :I ") == parse_complex_scheme("<J + 4p>:I")
     with pytest.raises(SchemeError):
         R("<K + 1>")
     with pytest.raises(SchemeError):
         R("<J + 1<2>")
     with pytest.raises(SchemeError, match="trailing input at offset 4"):
         R("<J> x")
+
+
+# One row per refusal of the oval grammar: (parser, text, exact message).
+# The offset is where the reader stood in the stripped text (the body
+# before the tag for a complex scheme): at the next token, whitespace
+# skipped, except that a sign refusal stands just after the count, a
+# nesting refusal just after its '<', and an oval-cap refusal on an item
+# with a group just after the group's '>'.
+SCHEME_REFUSALS = {
+    "no <": (R, "J + 4>", "expected '<' at offset 0 in 'J + 4>'"),
+    "no J": (R, " <4> ", "expected 'J' at offset 1 in '<4>'"),
+    "no +": (R, "<J 4>", "expected '+' at offset 3 in '<J 4>'"),
+    "no + at end": (R, "<J + 4", "expected '+' at offset 6 in '<J + 4'"),
+    "no count": (R, "<J + >", "expected an oval count at offset 5 in '<J + >'"),
+    "newline is not a gap": (R, "<J +\t4 +\n1>",
+                             "expected an oval count at offset 8 in '<J +\\t4 +\\n1>'"),
+    "no count in group": (R, "<J + 1< + 2>>",
+                          "expected an oval count at offset 8 in '<J + 1< + 2>>'"),
+    "trailing": (R, "<J>x", "trailing input at offset 3 in '<J>x'"),
+    "trailing before the tag": (parse_complex_scheme, "<J + 4p> x:I",
+                                "trailing input at offset 9 in '<J + 4p> x'"),
+    "too deep": (R, "<J + " + "1<" * MAX_DEPTH + ">" * (MAX_DEPTH + 1),
+                 f"ovals nested deeper than {MAX_DEPTH} at offset 21 in "
+                 + repr("<J + " + "1<" * MAX_DEPTH + ">" * (MAX_DEPTH + 1))),
+    "too many ovals": (R, f"<J + {MAX_WORD_LENGTH + 1} >",
+                       f"scheme of more than {MAX_WORD_LENGTH} ovals at offset 12 in "
+                       f"'<J + {MAX_WORD_LENGTH + 1} >'"),
+    "too many nested ovals": (R, "<J + 1000<100>>", f"scheme of more than {MAX_WORD_LENGTH} "
+                              "ovals at offset 14 in '<J + 1000<100>>'"),
+    "sign in real": (R, "<J + 4p>", "unexpected sign in a real scheme at offset 7 in '<J + 4p>'"),
+    "no sign in type I": (parse_complex_scheme, "<J + 4>:I",
+                          "complex schemes need a p/m sign on every oval at offset 6 in '<J + 4>'"),
+    "sign in type II": (parse_complex_scheme, "<J + 4m>:II",
+                        "unexpected sign in a real scheme at offset 7 in '<J + 4m>'"),
+    "no tag": (parse_complex_scheme, "<J + 4p>",
+               "complex scheme needs a :I or :II tag: '<J + 4p>'"),
+    "bad tag": (parse_complex_scheme, " <J + 4p>:III",
+                "complex scheme needs a :I or :II tag: ' <J + 4p>:III'"),
+    "long count": (R, f"<J + {'9' * 4301}>", "number of 4301 digits is too long"),
+}
+
+
+@pytest.mark.parametrize("row", list(SCHEME_REFUSALS))
+def test_scheme_refusals_are_exact(row):
+    parser, text, message = SCHEME_REFUSALS[row]
+    with pytest.raises(SchemeError) as refusal:
+        parser(text)
+    assert str(refusal.value) == message
 
 
 def test_realizable_examples():
